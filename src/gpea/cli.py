@@ -40,6 +40,7 @@ from .core import (
     validate_axioms,
 )
 from .ideals import (
+    NotEquivalenceError,
     classify_subset,
     enumerate_ideals,
     quotient,
@@ -48,7 +49,7 @@ from .ideals import (
 )
 from .kites import KiteSpec, build_kite, check_kc, index_connectivity
 from .rdp import rdp_profile
-from .unitization import enumerate_unitizing, gamma_unitize, is_unitizing
+from .unitization import enumerate_unitizing, gamma_unitize
 from .verify import DEFAULT_ENUMERATION_BUDGET, SCOPES, run_verify
 from . import catalog
 
@@ -172,12 +173,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
 
 def _cmd_autos(args: argparse.Namespace) -> int:
     g = _load_valid(args.file)
-    autos = find_morphisms(g, g, "auto")
-    kept = [
-        phi
-        for phi in autos
-        if not args.unitizing or is_unitizing(g, phi)
-    ]
+    kept = enumerate_unitizing(g) if args.unitizing else find_morphisms(g, g, "auto")
     for phi in kept:
         print("AUTO " + ",".join(str(x) for x in phi))
     print(f"RESULT count={len(kept)}")
@@ -205,7 +201,12 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     flags = classify_subset(g, members)
     if not flags.ideal:
         raise _InputError(f"{_subset_text(members)} is not an ideal")
-    rel = sim_from_ideal(g, members)
+    try:
+        rel = sim_from_ideal(g, members)
+    except NotEquivalenceError as exc:
+        raise _InputError(
+            f"{_subset_text(members)} induces no equivalence: {exc}"
+        ) from exc
     q = quotient(g, rel)
     summary = [
         "BLOCK " + _subset_text(block)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -121,7 +122,11 @@ class FiniteGpea:
                 f"carrier of {size} elements exceeds the budget of {budget} "
                 "(set GPEA_BUDGET to raise it)"
             )
+        # rows and cols are filled here, not on first access: validation
+        # reads both, and a lazy view costs more per table than the fill.
         table: dict[tuple[int, int], int] = {}
+        rows: list[dict[int, int]] = [{} for _ in range(size)]
+        cols: list[dict[int, int]] = [{} for _ in range(size)]
         for key, value in op.items():
             try:
                 i, j = key
@@ -132,8 +137,14 @@ class FiniteGpea:
                     f"op entry ({i}, {j}) -> {value} out of range for size {size}"
                 )
             table[(i, j)] = value
+            rows[i][j] = value
+            cols[j][i] = value
         self.size = size
         self.op = table
+        #: ``rows[a][b] == a + b`` over the defined entries.
+        self.rows = rows
+        #: ``cols[b][a] == a + b`` over the defined entries.
+        self.cols = cols
         if names is None:
             self.names: dict[int, str] = {}
         elif isinstance(names, Mapping):
@@ -144,7 +155,6 @@ class FiniteGpea:
             if not 0 <= i < size:
                 raise MalformedTableError(f"name for out-of-range element {i}")
         self._validated = False
-        self._cache: dict[str, object] = {}
 
     # ------------------------------------------------------------------ basic
 
@@ -215,56 +225,27 @@ class FiniteGpea:
                 "operation requires a validated algebra; call .validate() first"
             )
 
-    # ------------------------------------------------------------ table views
-
-    @property
-    def rows(self) -> list[dict[int, int]]:
-        """``rows[a][b] == a + b`` over the defined entries."""
-        got = self._cache.get("rows")
-        if got is None:
-            got = [dict() for _ in range(self.size)]
-            for (a, b), v in self.op.items():
-                got[a][b] = v
-            self._cache["rows"] = got
-        return got  # type: ignore[return-value]
-
-    @property
-    def cols(self) -> list[dict[int, int]]:
-        """``cols[b][a] == a + b`` over the defined entries."""
-        got = self._cache.get("cols")
-        if got is None:
-            got = [dict() for _ in range(self.size)]
-            for (a, b), v in self.op.items():
-                got[b][a] = v
-            self._cache["cols"] = got
-        return got  # type: ignore[return-value]
-
     # ------------------------------------------------------------------ order
+    # Derived views are computed on first access and kept on the instance.
+    # A view whose computation raises (a raw table asked for its order) is
+    # not cached, so it is recomputed once the table has been validated.
 
-    @property
+    @cached_property
     def order(self) -> "OrderRelation":
-        got = self._cache.get("order")
-        if got is None:
-            got = induced_order(self)
-            self._cache["order"] = got
-        return got  # type: ignore[return-value]
+        return induced_order(self)
 
     def le(self, a: int, b: int) -> bool:
         """``a <= b`` in the induced order."""
         return bool(self.order.up_masks[a] >> b & 1)
 
-    @property
+    @cached_property
     def _subtractions(self) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-        got = self._cache.get("subs")
-        if got is None:
-            left: dict[tuple[int, int], int] = {}
-            right: dict[tuple[int, int], int] = {}
-            for (a, c), b in self.op.items():
-                left[(a, b)] = c
-                right[(c, b)] = a
-            got = (left, right)
-            self._cache["subs"] = got
-        return got  # type: ignore[return-value]
+        left: dict[tuple[int, int], int] = {}
+        right: dict[tuple[int, int], int] = {}
+        for (a, c), b in self.op.items():
+            left[(a, b)] = c
+            right[(c, b)] = a
+        return left, right
 
     def left_subtraction(self, a: int, b: int) -> int | None:
         """The unique ``c`` with ``a + c == b``, or ``None`` when ``a <= b`` fails."""
@@ -278,41 +259,28 @@ class FiniteGpea:
 
     # ------------------------------------------------------------- structure
 
-    @property
+    @cached_property
     def flags(self) -> "StructureFlags":
-        got = self._cache.get("flags")
-        if got is None:
-            got = classify(self)
-            self._cache["flags"] = got
-        return got  # type: ignore[return-value]
+        return classify(self)
 
-    @property
+    @cached_property
     def pea(self) -> "PeaView":
-        got = self._cache.get("pea")
-        if got is None:
-            got = pea_view(self)
-            self._cache["pea"] = got
-        return got  # type: ignore[return-value]
+        return pea_view(self)
+
+    def _subset_directed(self, members: Iterable[int], masks: list[int]) -> bool:
+        mask = 0
+        for x in members:
+            mask |= 1 << x
+        xs = [x for x in self.elements if mask >> x & 1]
+        return all(masks[a] & masks[b] & mask for a in xs for b in xs)
 
     def subset_upward_directed(self, members: Iterable[int]) -> bool:
         """Every two members have a common upper bound inside the subset."""
-        self.require_validated()
-        mask = 0
-        for x in members:
-            mask |= 1 << x
-        up = self.order.up_masks
-        xs = [x for x in self.elements if mask >> x & 1]
-        return all(up[a] & up[b] & mask for a in xs for b in xs)
+        return self._subset_directed(members, self.order.up_masks)
 
     def subset_downward_directed(self, members: Iterable[int]) -> bool:
         """Every two members have a common lower bound inside the subset."""
-        self.require_validated()
-        mask = 0
-        for x in members:
-            mask |= 1 << x
-        down = self.order.down_masks
-        xs = [x for x in self.elements if mask >> x & 1]
-        return all(down[a] & down[b] & mask for a in xs for b in xs)
+        return self._subset_directed(members, self.order.down_masks)
 
 
 # ---------------------------------------------------------------------- types

@@ -19,6 +19,7 @@ from .core import (
     FiniteGpea,
     InvariantViolation,
     MalformedTableError,
+    is_isomorphism,
 )
 
 __all__ = [
@@ -88,15 +89,8 @@ def _require_automorphism(g: FiniteGpea, gamma: Sequence[int]) -> tuple[int, ...
     gamma = tuple(gamma)
     if sorted(gamma) != list(range(g.size)):
         raise MalformedTableError("twist map is not a permutation of the carrier")
-    for (a, b), s in g.op.items():
-        if g.op.get((gamma[a], gamma[b])) != gamma[s]:
-            raise MalformedTableError("twist map is not an automorphism")
-    inv = [0] * g.size
-    for i, v in enumerate(gamma):
-        inv[v] = i
-    for (a, b), s in g.op.items():
-        if g.op.get((inv[a], inv[b])) != inv[s]:
-            raise MalformedTableError("twist map inverse is not a morphism")
+    if not is_isomorphism(g, g, gamma):
+        raise MalformedTableError("twist map is not an automorphism")
     return gamma
 
 
@@ -823,6 +817,12 @@ def smallest_normal_riesz_ideal(
     family = normal_riesz_ideals(
         g, gamma, include_improper=include_improper, nontrivial_only=True
     )
+    return least_ideal(family)
+
+
+def least_ideal(family: Sequence[frozenset[int]]) -> frozenset[int] | None:
+    """The member of ``family`` contained in all others, or ``None`` when
+    the family is empty or has no minimum."""
     if not family:
         return None
     candidate = min(family, key=len)

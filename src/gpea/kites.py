@@ -46,7 +46,7 @@ from .core import (
     element_budget,
     is_isomorphism,
 )
-from .ideals import classify_subset, smallest_normal_riesz_ideal
+from .ideals import classify_subset, least_ideal, normal_riesz_ideals
 from .rdp import rdp_profile
 from .unitization import UnitizationAlgebra, gamma_unitize, is_unitizing
 
@@ -478,9 +478,10 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     if check_kc(spec).kci and 2 * power.algebra.size <= element_budget():
         kite = build_kite(spec)
         kite_rdp1 = rdp_profile(kite.algebra).rdp1
-        smallest = smallest_normal_riesz_ideal(kite.algebra)
-        smallest_proper = smallest_normal_riesz_ideal(
-            kite.algebra, include_improper=False
+        family = normal_riesz_ideals(kite.algebra)
+        smallest = least_ideal(family)
+        smallest_proper = least_ideal(
+            [members for members in family if len(members) != kite.algebra.size]
         )
         if spec.base.flags.upward_directed and kite_rdp1:
             implication_checked = True

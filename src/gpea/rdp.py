@@ -101,14 +101,8 @@ def rdp_profile(g: FiniteGpea) -> RdpProfile:
     for lst in pairs:
         lst.sort()
 
-    by_sum: dict[int, list[tuple[int, int]]] = {}
-    for (x, y), s in g.op.items():
-        by_sum.setdefault(s, []).append((x, y))
     equations = sorted(
-        (a, b, c, d)
-        for s, lst in by_sum.items()
-        for (a, b) in lst
-        for (c, d) in lst
+        (a, b, c, d) for lst in pairs for (a, b) in lst for (c, d) in lst
     )
 
     down_masks = g.order.down_masks

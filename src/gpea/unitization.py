@@ -96,17 +96,7 @@ def is_unitizing(g: FiniteGpea, gamma: Sequence[int]) -> bool:
     """
     g.require_validated()
     perm = _permutation(g, gamma)
-    if perm[0] != 0:
-        return False
-    for a in g.elements:
-        for b in g.elements:
-            s = g.value(a, b)
-            t = g.value(perm[a], perm[b])
-            if (s is None) != (t is None):
-                return False
-            if s is not None and perm[s] != t:
-                return False
-    return _definedness_transfer(g, perm)
+    return perm[0] == 0 and is_isomorphism(g, g, perm) and _definedness_transfer(g, perm)
 
 
 def enumerate_unitizing(g: FiniteGpea) -> list[tuple[int, ...]]:

@@ -46,6 +46,7 @@ from .kites import KiteSpec, check_kc, index_connectivity, kite_iso, power_gpea
 from .rdp import rdp_profile, rdp_transfer
 from .unitization import (
     UnitizationAlgebra,
+    base_ideal_is_riesz_iff_upward,
     congruence_suite,
     enumerate_unitizing,
     gamma_unitize,
@@ -269,10 +270,7 @@ def _verify_unitization(
         ua = p.extension
         if ua is None:
             continue
-        riesz, upward = (
-            classify_subset(ua.algebra, ua.base_members).riesz,
-            ua.base.flags.upward_directed,
-        )
+        riesz, upward = base_ideal_is_riesz_iff_upward(ua)
         tallies["base_riesz_iff_upward"].check(
             f"{p.label}: riesz={riesz} upward={upward}", riesz == upward
         )

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gpea
-from gpea import parse
+from gpea import fig1, gamma_unitize, parse, serialize
 from gpea.cli import run
 
 
@@ -239,6 +239,15 @@ def test_quotient_rejects_non_ideal(capsys):
     code, _, err = invoke(capsys, ["quotient", "fig1", "--ideal", "1"])
     assert code == 2
     assert "{1} is not an ideal" in err
+
+
+def test_quotient_rejects_ideal_without_induced_equivalence(capsys, tmp_path):
+    extension = gamma_unitize(fig1(), (0, 2, 1, 3, 5, 4)).algebra
+    source = tmp_path / "ext-fig1.gpea"
+    source.write_text(serialize(extension), encoding="utf-8")
+    code, out, err = invoke(capsys, ["quotient", str(source), "--ideal", "0,1,2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: {0,1,2} induces no equivalence: NOT_EQUIVALENCE")
 
 
 def test_quotient_rejects_malformed_members(capsys):

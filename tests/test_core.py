@@ -46,11 +46,15 @@ def test_malformed_empty_carrier():
 
 def test_validation_gate():
     g = FiniteGpea(2, neutral_op(2))
-    with pytest.raises(NotValidatedError):
-        g.flags  # noqa: B018 - the access itself must raise
+    for view in ("flags", "order", "pea"):
+        with pytest.raises(NotValidatedError):
+            getattr(g, view)  # the access itself must raise
     assert g.validate() is g
     g.require_validated()
+    # The refused accesses were not cached: the views now compute, once.
     assert g.flags.total is False
+    assert g.order is g.order
+    assert g.pea is g.pea
 
 
 def test_invalid_table_raises_on_validate():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -22,6 +23,7 @@ from gpea import (
     kite_gamma,
     kite_iso,
     power_gpea,
+    smallest_normal_riesz_ideal,
 )
 
 
@@ -359,3 +361,25 @@ def test_connectivity_follows_twist_orbits() -> None:
             assert twist[i] in component
         seen |= component
     assert seen == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("height, max_index", [(1, 3), (2, 2)])
+def test_connectivity_smallest_ideals_match_direct_computation(height, max_index) -> None:
+    base = chain(height)
+    checked = 0
+    for k in range(1, max_index + 1):
+        perms = list(itertools.permutations(range(k)))
+        for lam in perms:
+            for rho in perms:
+                spec = KiteSpec(base=base, index_size=k, lam=lam, rho=rho)
+                if not check_kc(spec).kci:
+                    continue
+                kite = build_kite(spec).algebra
+                report = index_connectivity(spec)
+                assert report.kite_smallest == smallest_normal_riesz_ideal(kite)
+                assert report.kite_smallest_proper == smallest_normal_riesz_ideal(
+                    kite, include_improper=False
+                )
+                checked += 1
+    # Over a chain the transfer condition holds exactly on the diagonal lam == rho.
+    assert checked == sum(math.factorial(k) for k in range(1, max_index + 1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from gpea import (
@@ -18,6 +20,7 @@ from gpea import (
     fig1,
     find_morphisms,
     gamma_unitize,
+    is_isomorphism,
     is_unitizing,
     lift_congruence_biconditional,
     pea_view,
@@ -61,6 +64,30 @@ def test_automorphism_failing_definedness_transfer_is_not_unitizing():
 
 def test_non_automorphism_is_not_unitizing(fig1_algebra):
     assert is_unitizing(fig1_algebra, (0, 1, 2, 4, 3, 5)) is False
+
+
+def _brute_unitizing(g, perm):
+    """The definition itself: relabelling by ``perm`` leaves the table
+    unchanged, and ``perm(a) + b`` is defined exactly when ``b + a`` is."""
+    relabelled = {(perm[a], perm[b]): perm[s] for (a, b), s in g.op.items()}
+    transfer = all(
+        g.defined(perm[a], b) == g.defined(b, a) for a in g.elements for b in g.elements
+    )
+    return relabelled == g.op and transfer
+
+
+def test_unitizing_and_twist_checks_match_brute_force(fig1_algebra, enumerated_by_size):
+    algebras = [fig1_algebra, chain(2), boolean(2)]
+    algebras += [g for tables in enumerated_by_size.values() for g in tables]
+    for g in algebras:
+        for rest in itertools.permutations(range(1, g.size)):
+            perm = (0, *rest)
+            assert is_unitizing(g, perm) == _brute_unitizing(g, perm), (g, perm)
+            if is_isomorphism(g, g, perm):
+                classify_subset(g, {0}, perm)
+            else:
+                with pytest.raises(MalformedTableError, match="not an automorphism"):
+                    classify_subset(g, {0}, perm)
 
 
 def test_antichain_admits_every_zero_fixing_permutation():
