@@ -503,7 +503,11 @@ def _verify_kite(tallies: _Tallies, notes: list[str]) -> None:
       the twist form twist-closed normal ideals of the power meeting
       only in zero; when the pasting exists, a smallest nontrivial
       normal Riesz ideal forces a connected index set (checked when its
-      hypotheses arm).
+      hypotheses arm).  On this grid the implication never arms: each of
+      the 18 buildable kites has the two-element normal Riesz ideal of 0
+      and the mirror of the top tuple, which meets the power (itself a
+      proper normal Riesz ideal) only in 0, so no kite has a smallest
+      nontrivial normal Riesz ideal in either reading.
 
     On the pairs where the transfer condition holds (so the pasting is
     defined):

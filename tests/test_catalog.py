@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from typing import Iterator
+
 import pytest
 
 from gpea import (
+    BudgetExceededError,
+    FiniteGpea,
     MalformedTableError,
     ParseError,
     boolean,
@@ -12,12 +17,15 @@ from gpea import (
     chain,
     count_gpeas_naive,
     fig1,
+    find_morphisms,
     parse,
     product,
     serialize,
     twisted_window,
+    validate_axioms,
 )
-from gpea.catalog import enumerate_gpeas
+from gpea import catalog
+from gpea.catalog import _neutral_op, enumerate_gpeas
 
 
 # ------------------------------------------------------------ named instances
@@ -174,6 +182,88 @@ def test_enumerated_tables_are_valid_and_pairwise_nonisomorphic(
 def test_enumeration_matches_naive_count_on_small_sizes(enumerated_by_size):
     for n in (1, 2, 3):
         assert count_gpeas_naive(n) == len(enumerated_by_size[n])
+
+
+def prune_only_search_tables(n: int) -> Iterator[FiniteGpea]:
+    """Depth-first search over nonzero cells with local pruning.
+
+    Prunes by positivity (no sum of nonzero elements is 0) and both
+    cancellation laws (no repeated value in a row or column, counting
+    the neutral entries); full axiom validation runs on each leaf.
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    op = _neutral_op(n)
+    row_used = [{i} for i in range(n)]
+    col_used = [{j} for j in range(n)]
+
+    def rec(k: int) -> Iterator[FiniteGpea]:
+        if k == len(cells):
+            g = FiniteGpea(n, dict(op))
+            if validate_axioms(g).passed:
+                yield g
+            return
+        i, j = cells[k]
+        yield from rec(k + 1)
+        for v in range(1, n):
+            if v in row_used[i] or v in col_used[j]:
+                continue
+            op[(i, j)] = v
+            row_used[i].add(v)
+            col_used[j].add(v)
+            yield from rec(k + 1)
+            del op[(i, j)]
+            row_used[i].remove(v)
+            col_used[j].remove(v)
+
+    return rec(0)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 3), (4, 19)])
+def test_search_keeps_every_valid_table_of_the_prune_only_search(n, count):
+    # The oracle above is the enumerator's search before it propagated
+    # associativity; both must yield the same labelled tables.
+    expected = {g.table_key() for g in prune_only_search_tables(n)}
+    found = [g.table_key() for g in catalog._search_tables(n)]
+    assert len(expected) == count
+    assert len(found) == len(set(found))
+    assert set(found) == expected
+
+
+def test_search_at_size_five_counts_every_labelling_once():
+    # Orbit counting: a class g has 4! / |Aut(g)| labellings fixing 0.
+    classes = enumerate_gpeas(5)
+    tables = list(catalog._search_tables(5))
+    keys = {g.table_key() for g in tables}
+    labellings = sum(
+        math.factorial(4) // len(find_morphisms(g, g, "iso")) for g in classes
+    )
+    assert labellings == len(tables) == len(keys) == 181
+    assert {catalog._canonical_key(g) for g in tables} == {
+        g.table_key() for g in classes
+    }
+
+
+def test_search_validates_only_associative_leaves(monkeypatch):
+    # The prune-only search validated 453,320 complete tables at size
+    # five; propagating associativity leaves 337 for validate_axioms.
+    leaves = []
+
+    def counting_validate(g):
+        leaves.append(g)
+        return validate_axioms(g)
+
+    monkeypatch.setattr(catalog, "validate_axioms", counting_validate)
+    assert len(list(catalog._search_tables(5))) == 181
+    assert len(leaves) == 337
+
+
+def test_enumeration_limit_is_refused_before_any_search(monkeypatch):
+    def search(n):
+        raise AssertionError(f"searched size {n}")
+
+    monkeypatch.setattr(catalog, "_search_tables", search)
+    with pytest.raises(BudgetExceededError, match="at most"):
+        enumerate_gpeas(catalog.ENUMERATION_LIMIT + 1)
 
 
 def test_enumeration_is_deterministic():

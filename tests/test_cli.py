@@ -394,6 +394,23 @@ def test_verify_rejects_unknown_scope(capsys):
     capsys.readouterr()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (["enumerate", "--size", "5"], 0, "enumerate-size-5.txt"),
+        (["verify", "all", "--budget", "4"], 1, "verify-all-budget-4.txt"),
+    ],
+)
+def test_output_matches_golden_file(capsys, argv, code, golden):
+    # The verify instance family is enumerate_gpeas(1..4) in table-key
+    # order, so a reordered or changed enumeration shows up here too.
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert invoke(capsys, argv) == (code, expected, "")
+
+
 # ---------------------------------------------------------------------------
 # console script
 # ---------------------------------------------------------------------------
