@@ -38,6 +38,7 @@ from .core import (
     BudgetExceededError,
     FiniteGpea,
     MalformedTableError,
+    require_within_budget,
     validate_axioms,
 )
 
@@ -71,6 +72,7 @@ def chain(n: int) -> FiniteGpea:
     """
     if n < 0:
         raise MalformedTableError("chain length must be nonnegative")
+    require_within_budget(n + 1)
     op = {
         (i, j): i + j
         for i in range(n + 1)
@@ -104,6 +106,7 @@ def product(g: FiniteGpea, h: FiniteGpea) -> FiniteGpea:
     g.require_validated()
     h.require_validated()
     size = g.size * h.size
+    require_within_budget(size)
     op: dict[tuple[int, int], int] = {}
     for x1 in g.elements:
         for y1 in h.elements:
@@ -374,10 +377,7 @@ def _search_tables(n: int) -> Iterator[FiniteGpea]:
 
     def rec(k: int) -> Iterator[FiniteGpea]:
         if k == len(cells):
-            op = _neutral_op(n)
-            for i, j in cells:
-                if table[i * n + j] != undef:
-                    op[(i, j)] = table[i * n + j]
+            op = {divmod(cell, n): v for cell, v in enumerate(table) if v != undef}
             g = FiniteGpea(n, op)
             if validate_axioms(g).passed:
                 yield g
@@ -481,7 +481,7 @@ def serialize(g: FiniteGpea) -> str:
                     f"name {name!r} cannot be serialized (whitespace or '#')"
                 )
             lines.append(f"name {i} {name}")
-    for (i, j), k in sorted(g.op.items()):
+    for i, j, k in g.sums:
         if i != 0 and j != 0:
             lines.append(f"op {i} {j} {k}")
     return "\n".join(lines) + "\n"

@@ -6,9 +6,11 @@ strong, existence-transferring sense), a conjugation property (every defined
 sum can be rewritten with its arguments on either side), cancellation on both
 sides, neutrality of ``0``, and positivity (only ``0 + 0`` is ``0``).  This
 module represents such algebras as explicit operation tables over elements
-``0 .. size-1`` and provides axiom validation, the induced partial order,
-subtraction, structural classification, the unital (PEA) view with its two
-supplement maps, and brute-force isomorphism search.
+``0 .. size-1``, stored as one flat row-major tuple in which ``a + b`` sits
+at index ``a * size + b`` and the sentinel ``size`` marks an undefined sum.
+It provides axiom validation, the induced partial order, subtraction,
+structural classification, the unital (PEA) view with its two supplement
+maps, and brute-force isomorphism search.
 """
 
 from __future__ import annotations
@@ -98,14 +100,26 @@ def element_budget() -> int:
     return value
 
 
+def require_within_budget(size: int) -> None:
+    """Raise :class:`BudgetExceededError` for a carrier larger than the budget."""
+    budget = element_budget()
+    if size > budget:
+        raise BudgetExceededError(
+            f"carrier of {size} elements exceeds the budget of {budget} "
+            "(set GPEA_BUDGET to raise it)"
+        )
+
+
 class FiniteGpea:
     """A finite partial algebra ``(P, +, 0)`` given by an explicit table.
 
-    ``op`` maps index pairs ``(i, j)`` to ``i + j``; absent pairs are
-    undefined.  Element ``0`` is always the designated zero.  A fresh
-    instance is a *raw table*: it is structurally well-formed but makes no
-    axiom promises until :meth:`validate` has passed, and all
-    order-theoretic accessors refuse to run before that.
+    ``table`` is the operation flattened row-major: ``table[a * size + b]``
+    is ``a + b``, and the sentinel ``size`` marks an undefined sum.  The
+    constructor takes a mapping from index pairs ``(i, j)`` to ``i + j``;
+    absent pairs are undefined.  Element ``0`` is always the designated
+    zero.  A fresh instance is a *raw table*: it is structurally
+    well-formed but makes no axiom promises until :meth:`validate` has
+    passed, and all order-theoretic accessors refuse to run before that.
     """
 
     def __init__(
@@ -116,17 +130,8 @@ class FiniteGpea:
     ):
         if not isinstance(size, int) or size < 1:
             raise MalformedTableError(f"size must be a positive integer, got {size!r}")
-        budget = element_budget()
-        if size > budget:
-            raise BudgetExceededError(
-                f"carrier of {size} elements exceeds the budget of {budget} "
-                "(set GPEA_BUDGET to raise it)"
-            )
-        # rows and cols are filled here, not on first access: validation
-        # reads both, and a lazy view costs more per table than the fill.
-        table: dict[tuple[int, int], int] = {}
-        rows: list[dict[int, int]] = [{} for _ in range(size)]
-        cols: list[dict[int, int]] = [{} for _ in range(size)]
+        require_within_budget(size)
+        table = [size] * (size * size)
         for key, value in op.items():
             try:
                 i, j = key
@@ -136,15 +141,9 @@ class FiniteGpea:
                 raise MalformedTableError(
                     f"op entry ({i}, {j}) -> {value} out of range for size {size}"
                 )
-            table[(i, j)] = value
-            rows[i][j] = value
-            cols[j][i] = value
+            table[i * size + j] = value
         self.size = size
-        self.op = table
-        #: ``rows[a][b] == a + b`` over the defined entries.
-        self.rows = rows
-        #: ``cols[b][a] == a + b`` over the defined entries.
-        self.cols = cols
+        self.table: tuple[int, ...] = tuple(table)
         if names is None:
             self.names: dict[int, str] = {}
         elif isinstance(names, Mapping):
@@ -166,19 +165,26 @@ class FiniteGpea:
         return self.names.get(i, str(i))
 
     def value(self, a: int, b: int) -> int | None:
-        """``a + b`` or ``None`` when undefined."""
-        return self.op.get((a, b))
+        """``a + b`` or ``None`` when undefined; ``a`` and ``b`` are elements."""
+        s = self.table[a * self.size + b]
+        return None if s == self.size else s
 
     def defined(self, a: int, b: int) -> bool:
-        return (a, b) in self.op
+        """Whether ``a + b`` exists; ``a`` and ``b`` are elements."""
+        return self.table[a * self.size + b] != self.size
 
     def same_table(self, other: "FiniteGpea") -> bool:
-        return self.size == other.size and self.op == other.op
+        return self.table == other.table
 
     def table_key(self) -> tuple[int, ...]:
         """Row-major flattened table with ``size`` as the undefined sentinel."""
+        return self.table
+
+    @cached_property
+    def sums(self) -> tuple[tuple[int, int, int], ...]:
+        """Every defined sum as ``(a, b, a + b)``, in row-major order."""
         n = self.size
-        return tuple(self.op.get((i, j), n) for i in range(n) for j in range(n))
+        return tuple((*divmod(k, n), s) for k, s in enumerate(self.table) if s != n)
 
     def relabel(self, perm: Sequence[int]) -> "FiniteGpea":
         """The same algebra with element ``i`` renamed to ``perm[i]``.
@@ -188,21 +194,16 @@ class FiniteGpea:
         n = self.size
         if sorted(perm) != list(range(n)) or perm[0] != 0:
             raise MalformedTableError("relabeling must be a permutation fixing 0")
-        op = {(perm[i], perm[j]): perm[k] for (i, j), k in self.op.items()}
+        op = {(perm[a], perm[b]): perm[s] for a, b, s in self.sums}
         names = {perm[i]: t for i, t in self.names.items()}
         out = FiniteGpea(n, op, names)
         if self._validated:
             out._validated = True
         return out
 
-    def with_names(self, names: Mapping[int, str] | Sequence[str]) -> "FiniteGpea":
-        out = FiniteGpea(self.size, self.op, names)
-        out._validated = self._validated
-        return out
-
     def __repr__(self) -> str:
         state = "validated" if self._validated else "raw"
-        return f"FiniteGpea(size={self.size}, defined={len(self.op)}, {state})"
+        return f"FiniteGpea(size={self.size}, defined={len(self.sums)}, {state})"
 
     # ------------------------------------------------------------- validation
 
@@ -239,23 +240,32 @@ class FiniteGpea:
         return bool(self.order.up_masks[a] >> b & 1)
 
     @cached_property
-    def _subtractions(self) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-        left: dict[tuple[int, int], int] = {}
-        right: dict[tuple[int, int], int] = {}
-        for (a, c), b in self.op.items():
-            left[(a, b)] = c
-            right[(c, b)] = a
-        return left, right
+    def subtraction_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Left and right subtraction in the layout of ``table``.
+
+        ``left[a * size + b]`` is the ``c`` with ``a + c == b`` and
+        ``right[a * size + b]`` the ``d`` with ``d + a == b``; the sentinel
+        ``size`` marks ``a <= b`` failing.  Cancellation makes both unique,
+        so only validated tables have them.
+        """
+        self.require_validated()
+        n = self.size
+        left = [n] * (n * n)
+        right = [n] * (n * n)
+        for a, c, b in self.sums:
+            left[a * n + b] = c
+            right[c * n + b] = a
+        return tuple(left), tuple(right)
 
     def left_subtraction(self, a: int, b: int) -> int | None:
         """The unique ``c`` with ``a + c == b``, or ``None`` when ``a <= b`` fails."""
-        self.require_validated()
-        return self._subtractions[0].get((a, b))
+        c = self.subtraction_tables[0][a * self.size + b]
+        return None if c == self.size else c
 
     def right_subtraction(self, a: int, b: int) -> int | None:
         """The unique ``d`` with ``d + a == b``, or ``None`` when ``a <= b`` fails."""
-        self.require_validated()
-        return self._subtractions[1].get((a, b))
+        d = self.subtraction_tables[1][a * self.size + b]
+        return None if d == self.size else d
 
     # ------------------------------------------------------------- structure
 
@@ -410,11 +420,6 @@ class PeaView:
         """Double left supplement."""
         return self.left_supp[self.left_supp[a]]
 
-    @property
-    def double_left_map(self) -> tuple[int, ...]:
-        """The permutation ``a -> ll(a)``; for unitizations this is the twist."""
-        return tuple(self.ll(a) for a in range(len(self.right_supp)))
-
 
 # ----------------------------------------------------------------- validation
 
@@ -427,9 +432,8 @@ def validate_axioms(table: FiniteGpea) -> AxiomReport:
     both sides are defined.
     """
     n = table.size
-    op = table.op
-    rows = table.rows
-    cols = table.cols
+    t = table.table
+    sums = table.sums
 
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, tuple[int, int, int] | None] = {}
@@ -438,29 +442,33 @@ def validate_axioms(table: FiniteGpea) -> AxiomReport:
         verdicts[name] = not fails
         witnesses[name] = min(fails) if fails else None
 
+    # The defined (index, sum) entries of every row and every column.
+    rows = [
+        [(c, u) for c, u in enumerate(t[x * n : x * n + n]) if u != n]
+        for x in range(n)
+    ]
+    cols = [[(a, v) for a, v in enumerate(t[x::n]) if v != n] for x in range(n)]
+
     # associativity: every failing triple has at least one side defined, so
     # scanning "left side exists" and "right side exists" covers all failures.
     fails: list[tuple[int, int, int]] = []
-    for (a, b), s in op.items():
-        row_s, row_b, row_a = rows[s], rows[b], rows[a]
-        for c, u in row_s.items():  # (a+b)+c defined
-            t = row_b.get(c)
-            v = row_a.get(t) if t is not None else None
-            if v is None or v != u:
+    for a, b, s in sums:
+        for c, u in rows[s]:  # (a+b)+c defined
+            bc = t[b * n + c]
+            if bc == n or t[a * n + bc] != u:
                 fails.append((a, b, c))
-    for (b, c), t in op.items():
-        col_t = cols[t]
-        for a in col_t:  # a+(b+c) defined
-            s = op.get((a, b))
-            if s is None or c not in rows[s]:
+    for b, c, bc in sums:
+        for a, _ in cols[bc]:  # a+(b+c) defined
+            ab = t[a * n + b]
+            if ab == n or t[ab * n + c] == n:
                 fails.append((a, b, c))
     record("associativity", fails)
 
     # conjugation: a+b == some c+a and some b+d.
     fails = []
-    row_value_sets = [set(r.values()) for r in rows]
-    col_value_sets = [set(c.values()) for c in cols]
-    for (a, b), s in op.items():
+    row_value_sets = [{u for _, u in row} for row in rows]
+    col_value_sets = [{v for _, v in col} for col in cols]
+    for a, b, s in sums:
         if s not in col_value_sets[a] or s not in row_value_sets[b]:
             fails.append((a, b, s))
     record("conjugation", fails)
@@ -468,33 +476,26 @@ def validate_axioms(table: FiniteGpea) -> AxiomReport:
     # cancellation: rows and columns are injective on their defined entries.
     fails = []
     for c in range(n):
-        seen: dict[int, int] = {}
-        for a in sorted(cols[c]):
-            v = cols[c][a]
-            if v in seen:
-                fails.append((seen[v], a, c))
-            else:
-                seen[v] = a
-        seen = {}
-        for a in sorted(rows[c]):
-            v = rows[c][a]
-            if v in seen:
-                fails.append((seen[v], a, c))
-            else:
-                seen[v] = a
+        for line in (cols[c], rows[c]):
+            seen: dict[int, int] = {}
+            for a, v in line:
+                if v in seen:
+                    fails.append((seen[v], a, c))
+                else:
+                    seen[v] = a
     record("cancellation", fails)
 
     # neutrality of 0 on both sides.
     fails = []
     for x in range(n):
-        if op.get((0, x)) != x:
+        if t[x] != x:
             fails.append((0, x, x))
-        if op.get((x, 0)) != x:
+        if t[x * n] != x:
             fails.append((x, 0, x))
     record("neutrality", fails)
 
     # positivity: only 0 + 0 gives 0.
-    fails = [(a, b, 0) for (a, b), s in op.items() if s == 0 and (a, b) != (0, 0)]
+    fails = [(a, b, 0) for a, b, s in sums if s == 0 and (a, b) != (0, 0)]
     record("positivity", fails)
 
     return AxiomReport(verdicts, witnesses)
@@ -510,8 +511,8 @@ def induced_order(g: FiniteGpea) -> OrderRelation:
     must coincide; both are computed and compared.
     """
     g.require_validated()
-    left_pairs = {(a, b) for (a, c), b in g.op.items()}
-    right_pairs = {(a, b) for (d, a), b in g.op.items()}
+    left_pairs = {(a, b) for a, c, b in g.sums}
+    right_pairs = {(a, b) for d, a, b in g.sums}
     if left_pairs != right_pairs:
         raise InvariantViolation("left- and right-divisibility orders differ")
     order = OrderRelation(g.size, left_pairs)
@@ -544,17 +545,14 @@ def extended_cancellation_witness(g: FiniteGpea) -> tuple[int, int, int] | None:
     """
     g.require_validated()
     le = g.le
-    for c in range(g.size):
-        col = g.cols[c]
-        for a, sa in col.items():
-            for b, sb in col.items():
-                if le(sa, sb) and not le(a, b):
-                    return (a, b, c)
-        row = g.rows[c]
-        for a, sa in row.items():
-            for b, sb in row.items():
-                if le(sa, sb) and not le(a, b):
-                    return (a, b, c)
+    n = g.size
+    t = g.table
+    for c in range(n):
+        for line in (t[c::n], t[c * n : c * n + n]):
+            for a, sa in enumerate(line):
+                for b, sb in enumerate(line):
+                    if sa != n != sb and le(sa, sb) and not le(a, b):
+                        return (a, b, c)
     return None
 
 
@@ -565,10 +563,10 @@ def classify(g: FiniteGpea) -> StructureFlags:
     """Global structural flags of a validated algebra."""
     g.require_validated()
     n = g.size
-    op = g.op
-    total = len(op) == n * n
-    weakly_commutative = all((b, a) in op for (a, b) in op)
-    commutative = weakly_commutative and all(op[(b, a)] == v for (a, b), v in op.items())
+    t = g.table
+    total = len(g.sums) == n * n
+    weakly_commutative = all(t[b * n + a] != n for a, b, _ in g.sums)
+    commutative = all(t[b * n + a] == s for a, b, s in g.sums)
     order = g.order
     has_unit = order.maximum is not None
     up = order.up_masks
@@ -604,7 +602,6 @@ def pea_view(g: FiniteGpea) -> PeaView:
     if unit is None:
         raise NoUnitError("algebra has no top element")
     n = g.size
-    op = g.op
     rs_list = []
     ls_list = []
     for a in range(n):
@@ -622,7 +619,7 @@ def pea_view(g: FiniteGpea) -> PeaView:
 
 def _check_pea_identities(g: FiniteGpea, view: PeaView) -> None:
     n = g.size
-    op = g.op
+    t = g.table
     rs = view.right_supp
     ls = view.left_supp
     unit = view.unit
@@ -640,38 +637,38 @@ def _check_pea_identities(g: FiniteGpea, view: PeaView) -> None:
             fail("double supplement is not the identity")
 
     # a+b == c  iff  ls(c)+a == ls(b)
-    for (a, b), c in op.items():
-        if op.get((ls[c], a)) != ls[b]:
+    for a, b, c in g.sums:
+        if t[ls[c] * n + a] != ls[b]:
             fail("sum/left-supplement exchange (forward)")
-    for (x, a), v in op.items():
+    for x, a, v in g.sums:
         # x = ls(c), v = ls(b)  =>  a + rs(v) must be rs(x)
-        if op.get((a, rs[v])) != rs[x]:
+        if t[a * n + rs[v]] != rs[x]:
             fail("sum/left-supplement exchange (reverse)")
 
     # a+rs(b) == rs(c)  iff  c+a == b
-    for (a, x), y in op.items():
+    for a, x, y in g.sums:
         # x = rs(b), y = rs(c): require c + a == b
-        if op.get((ls[y], a)) != ls[x]:
+        if t[ls[y] * n + a] != ls[x]:
             fail("sum/right-supplement exchange (forward)")
-    for (c, a), b in op.items():
-        if op.get((a, rs[b])) != rs[c]:
+    for c, a, b in g.sums:
+        if t[a * n + rs[b]] != rs[c]:
             fail("sum/right-supplement exchange (reverse)")
 
     # rs(a)+b == rs(c)  iff  ls(b) == c+rs(a)  iff  ls(ls(b))+c == a
     def s1(a: int, b: int, c: int) -> bool:
-        return op.get((rs[a], b)) == rs[c]
+        return t[rs[a] * n + b] == rs[c]
 
     def s2(a: int, b: int, c: int) -> bool:
-        return op.get((c, rs[a])) == ls[b]
+        return t[c * n + rs[a]] == ls[b]
 
     def s3(a: int, b: int, c: int) -> bool:
-        return op.get((ls[ls[b]], c)) == a
+        return t[ls[ls[b]] * n + c] == a
 
-    for (x, b), y in op.items():
+    for x, b, y in g.sums:
         a, c = ls[x], ls[y]  # x = rs(a), y = rs(c)
         if not (s2(a, b, c) and s3(a, b, c)):
             fail("three-way supplement exchange (from first form)")
-    for (c, x), v in op.items():
+    for c, x, v in g.sums:
         a, b = ls[x], rs[v]  # x = rs(a), v = ls(b)
         if not (s1(a, b, c) and s3(a, b, c)):
             fail("three-way supplement exchange (from second form)")
@@ -679,7 +676,7 @@ def _check_pea_identities(g: FiniteGpea, view: PeaView) -> None:
     dbl_left_inv = [0] * n
     for b in range(n):
         dbl_left_inv[ls[ls[b]]] = b
-    for (w, c), a in op.items():
+    for w, c, a in g.sums:
         b = dbl_left_inv[w]  # w = ls(ls(b))
         if not (s1(a, b, c) and s2(a, b, c)):
             fail("three-way supplement exchange (from third form)")
@@ -693,13 +690,13 @@ def _check_pea_identities(g: FiniteGpea, view: PeaView) -> None:
     # existence criterion: a+b defined iff b <= rs(a) iff a <= ls(b)
     for a in range(n):
         for b in range(n):
-            d = (a, b) in op
+            d = t[a * n + b] != n
             if d != le(b, rs[a]) or d != le(a, ls[b]):
                 fail("existence criterion via supplements")
 
 
 def _check_subtraction_formulas(g: FiniteGpea, view: PeaView) -> None:
-    op = g.op
+    table = g.table
     rs = view.right_supp
     ls = view.left_supp
     le = g.le
@@ -710,27 +707,27 @@ def _check_subtraction_formulas(g: FiniteGpea, view: PeaView) -> None:
 
     for a, b in g.order.pairs:
         # b minus a from the right is ls(a + rs(b)); from the left rs(ls(b) + a)
-        s = op.get((a, rs[b]))
-        if s is None or g.right_subtraction(a, b) != ls[s]:
+        s = table[a * n + rs[b]]
+        if s == n or g.right_subtraction(a, b) != ls[s]:
             fail("right subtraction via supplements")
-        t = op.get((ls[b], a))
-        if t is None or g.left_subtraction(a, b) != rs[t]:
+        t = table[ls[b] * n + a]
+        if t == n or g.left_subtraction(a, b) != rs[t]:
             fail("left subtraction via supplements")
     for a in range(n):
         for b in range(n):
             bb = ls[ls[b]]
             if le(bb, a):
-                s = op.get((rs[a], b))
-                if s is None or g.left_subtraction(bb, a) != ls[s]:
+                s = table[rs[a] * n + b]
+                if s == n or g.left_subtraction(bb, a) != ls[s]:
                     fail("double-left-supplement left subtraction")
             if le(b, rs[a]):
                 if not le(a, ls[b]):
                     fail("existence transfer between supplement bounds")
-                s = op.get((ls[ls[b]], a))
-                if s is None or g.right_subtraction(b, rs[a]) != rs[s]:
+                s = table[ls[ls[b]] * n + a]
+                if s == n or g.right_subtraction(b, rs[a]) != rs[s]:
                     fail("supplement right subtraction (first form)")
-                t = op.get((a, b))
-                if t is None or g.right_subtraction(a, ls[b]) != ls[t]:
+                t = table[a * n + b]
+                if t == n or g.right_subtraction(a, ls[b]) != ls[t]:
                     fail("supplement right subtraction (second form)")
 
 
@@ -760,8 +757,8 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea, mode: str = "iso") -> list[tupl
         if pu is None or qu is None:
             raise NoUnitError("pea_iso mode requires unital algebras")
 
-    p_op = p.op
-    q_op = q.op
+    p_table = p.table
+    q_table = q.table
     results: list[tuple[int, ...]] = []
     phi: list[int | None] = [None] * n
     used = [False] * n
@@ -775,18 +772,18 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea, mode: str = "iso") -> list[tupl
 
     # Elements in decreasing connectivity order make the pruning bite early.
     weight = [0] * n
-    for (a, b) in p_op:
+    for a, b, _ in p.sums:
         weight[a] += 1
         weight[b] += 1
     todo = sorted((x for x in range(n) if phi[x] is None), key=lambda x: -weight[x])
 
     def consistent(a: int, b: int) -> bool:
         fa, fb = phi[a], phi[b]
-        s = p_op.get((a, b))
-        t = q_op.get((fa, fb))
-        if (s is None) != (t is None):
+        s = p_table[a * n + b]
+        t = q_table[fa * n + fb]
+        if (s == n) != (t == n):
             return False
-        if s is not None and phi[s] is not None and phi[s] != t:
+        if s != n and phi[s] is not None and phi[s] != t:
             return False
         return True
 
@@ -818,14 +815,20 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea, mode: str = "iso") -> list[tupl
     return sorted(results)
 
 
-def is_isomorphism(p: FiniteGpea, q: FiniteGpea, phi: tuple[int, ...]) -> bool:
-    """Whether the image tuple ``phi`` transfers definedness and sums exactly."""
-    for a in range(p.size):
-        for b in range(p.size):
-            s = p.op.get((a, b))
-            t = q.op.get((phi[a], phi[b]))
-            if (s is None) != (t is None):
-                return False
-            if s is not None and phi[s] != t:
+def is_isomorphism(p: FiniteGpea, q: FiniteGpea, phi: Sequence[int]) -> bool:
+    """Whether ``phi`` is a bijection transferring definedness and sums exactly.
+
+    ``phi[a]`` is the image of ``a``; a map that is not a permutation of
+    the carrier, or algebras of different sizes, give ``False``.
+    """
+    n = p.size
+    if q.size != n or sorted(phi) != list(range(n)):
+        return False
+    p_table = p.table
+    q_table = q.table
+    for a in range(n):
+        for b in range(n):
+            s = p_table[a * n + b]
+            if q_table[phi[a] * n + phi[b]] != (n if s == n else phi[s]):
                 return False
     return True

@@ -114,35 +114,28 @@ def classify_subset(
         return IdealFlags(False, False, False, False, False, False,
                           False if gamma is not None else None)
     n = g.size
-    op = g.op
     down = g.order.down_masks
     inside = [x for x in range(n) if mask >> x & 1]
 
     order_ideal = all(down[x] & ~mask == 0 for x in inside)
     sum_closed = all(
         mask >> s & 1
-        for (a, b), s in op.items()
+        for a, b, s in g.sums
         if mask >> a & 1 and mask >> b & 1
     )
     ideal = order_ideal and sum_closed
 
-    normal = ideal
-    if normal:
-        rows = g.rows
-        cols = g.cols
-        for c in range(n):
-            for a, v in cols[c].items():  # a + c
-                for b, w in rows[c].items():  # c + b
-                    if v == w and (mask >> a & 1) != (mask >> b & 1):
-                        normal = False
-                        break
-                if not normal:
-                    break
-            if not normal:
-                break
+    # normal: a + c == c + b puts a and b on the same side; the b is the
+    # left subtraction of c from a + c.
+    left = g.subtraction_tables[0]
+    normal = ideal and all(
+        (mask >> a & 1) == (mask >> left[c * n + v] & 1)
+        for a, c, v in g.sums
+        if left[c * n + v] != n
+    )
 
     sub_gpea = True
-    for (a, b), c in op.items():
+    for a, b, c in g.sums:
         ins = (mask >> a & 1) + (mask >> b & 1) + (mask >> c & 1)
         if ins == 2:
             sub_gpea = False
@@ -172,22 +165,22 @@ def _check_r1(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
     For each member ``i`` with ``i <= a + b`` there must be members
     ``j <= a`` and ``k <= b`` whose sum is defined and dominates ``i``.
     """
-    op = g.op
+    n = g.size
+    table = g.table
     le = g.le
     down = g.order.down_masks
     lower_members: list[list[int]] = [
-        [j for j in inside if down[a] >> j & 1] for a in range(g.size)
+        [j for j in inside if down[a] >> j & 1] for a in range(n)
     ]
-    for (a, b), s in op.items():
+    for a, b, s in g.sums:
         under_s = [i for i in inside if le(i, s)]
         if not under_s:
             continue
         covers = 0  # bitmask of members i already justified
         for j in lower_members[a]:
-            row_j = g.rows[j]
             for k in lower_members[b]:
-                t = row_j.get(k)
-                if t is not None:
+                t = table[j * n + k]
+                if t != n:
                     covers |= down[t]
         for i in under_s:
             if not covers >> i & 1:
@@ -204,7 +197,7 @@ def _check_r2(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
     makes ``(b minus k) + a`` defined.
     """
     n = g.size
-    op = g.op
+    table = g.table
     le = g.le
     down = g.order.down_masks
     lower_members: list[list[int]] = [
@@ -217,20 +210,20 @@ def _check_r2(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
             a_minus_i = g.right_subtraction(i, a)  # x with x + i == a
             i_into_a = g.left_subtraction(i, a)  # y with i + y == a
             for b in range(n):
-                if (a_minus_i, b) in op:
+                if table[a_minus_i * n + b] != n:
                     ok = False
                     for j in lower_members[b]:
                         resid = g.left_subtraction(j, b)  # j + resid == b
-                        if resid is not None and (a, resid) in op:
+                        if resid is not None and table[a * n + resid] != n:
                             ok = True
                             break
                     if not ok:
                         return False
-                if (b, i_into_a) in op:
+                if table[b * n + i_into_a] != n:
                     ok = False
                     for k in lower_members[b]:
                         rem = g.right_subtraction(k, b)  # rem + k == b
-                        if rem is not None and (rem, a) in op:
+                        if rem is not None and table[rem * n + a] != n:
                             ok = True
                             break
                     if not ok:
@@ -263,7 +256,7 @@ def normal_ideal_lemmas(g: FiniteGpea, members: Iterable[int]) -> LemmaVerdict:
     def member(x: int) -> bool:
         return bool(mask >> x & 1)
 
-    for (a, b), s in g.op.items():
+    for a, b, s in g.sums:
         peel_right = g.right_subtraction(a, s)  # x with x + a == a + b
         if peel_right is None or member(b) != member(peel_right):
             return LemmaVerdict(False, ("sum-peel right", a, b))
@@ -382,10 +375,6 @@ class CongruenceFlags:
     gamma_congruence: bool | None
 
     @property
-    def weak_congruence(self) -> bool:
-        return self.c1 and self.c2
-
-    @property
     def congruence(self) -> bool:
         return self.c1 and self.c2 and self.c3
 
@@ -411,7 +400,7 @@ class CongruenceFlags:
 def _check_c2(g: FiniteGpea, rel: Partition) -> bool:
     result_block: dict[tuple[int, int], int] = {}
     bl = rel.block_of
-    for (a, b), s in g.op.items():
+    for a, b, s in g.sums:
         key = (bl[a], bl[b])
         prev = result_block.get(key)
         if prev is None:
@@ -423,15 +412,15 @@ def _check_c2(g: FiniteGpea, rel: Partition) -> bool:
 
 def _check_c3(g: FiniteGpea, rel: Partition) -> bool:
     bl = rel.block_of
-    defined_pairs = {(bl[a], bl[b]) for (a, b) in g.op}
-    rows = g.rows
-    cols = g.cols
+    n = g.size
+    table = g.table
+    defined_pairs = {(bl[a], bl[b]) for a, b, _ in g.sums}
     for ba, bb in defined_pairs:
         for a1 in rel.blocks[ba]:
-            if not any(bl[b1] == bb for b1 in rows[a1]):
+            if not any(bl[b1] == bb and table[a1 * n + b1] != n for b1 in range(n)):
                 return False
         for b2 in rel.blocks[bb]:
-            if not any(bl[a2] == ba for a2 in cols[b2]):
+            if not any(bl[a2] == ba and table[a2 * n + b2] != n for a2 in range(n)):
                 return False
     return True
 
@@ -440,7 +429,7 @@ def _check_c4(g: FiniteGpea, rel: Partition) -> bool:
     bl = rel.block_of
     left_partner: dict[tuple[int, int], int] = {}
     right_partner: dict[tuple[int, int], int] = {}
-    for (a, a1), s in g.op.items():
+    for a, a1, s in g.sums:
         key = (bl[a], bl[s])
         prev = left_partner.get(key)
         if prev is None:
@@ -461,7 +450,7 @@ def _check_c5(g: FiniteGpea, rel: Partition) -> bool:
     zero = bl[0]
     return all(
         bl[a] == zero and bl[b] == zero
-        for (a, b), s in g.op.items()
+        for a, b, s in g.sums
         if bl[s] == zero
     )
 
@@ -480,10 +469,10 @@ def _check_c4prime(g: FiniteGpea, rel: Partition) -> bool:
 def _check_c5prime(g: FiniteGpea, rel: Partition) -> bool:
     bl = rel.block_of
     decomps: list[set[tuple[int, int]]] = [set() for _ in range(g.size)]
-    for (u, v), s in g.op.items():
+    for u, v, s in g.sums:
         decomps[s].add((bl[u], bl[v]))
     needed: set[tuple[int, int, int]] = set()
-    for (b, c), s in g.op.items():
+    for b, c, s in g.sums:
         for a in rel.blocks[bl[s]]:
             needed.add((a, bl[b], bl[c]))
     return all((ba, bc) in decomps[a] for (a, ba, bc) in needed)
@@ -536,21 +525,23 @@ def gcr_condition(
     """
     g.require_validated()
     mask = _subset_mask(g, ideal_members)
-    inside = [x for x in range(g.size) if mask >> x & 1]
-    cols = g.cols
-    rows = g.rows
+    n = g.size
+    table = g.table
+    inside = [x for x in range(n) if mask >> x & 1]
+
+    def padded(x: int) -> set[int]:
+        """The defined sums ``i + x`` (form 1) or ``x + i`` (form 2), i a member."""
+        if form == 1:
+            out = {table[i * n + x] for i in inside}
+        else:
+            out = {table[x * n + i] for i in inside}
+        out.discard(n)
+        return out
+
     for block in rel.blocks:
         for a in block:
             for b in block:
-                if a >= b:
-                    continue
-                if form == 1:
-                    left = {cols[a][i] for i in inside if i in cols[a]}
-                    right = {cols[b][j] for j in inside if j in cols[b]}
-                else:
-                    left = {rows[a][k] for k in inside if k in rows[a]}
-                    right = {rows[b][l] for l in inside if l in rows[b]}
-                if not left & right:
+                if a < b and not padded(a) & padded(b):
                     return False
     return True
 
@@ -677,7 +668,7 @@ def quotient(g: FiniteGpea, rel: Partition) -> FiniteGpea:
         )
     bl = rel.block_of
     table: dict[tuple[int, int], int] = {}
-    for (a, b), s in g.op.items():
+    for a, b, s in g.sums:
         key = (bl[a], bl[b])
         if key in table and table[key] != bl[s]:
             raise InvariantViolation("quotient table is not well defined")
@@ -747,14 +738,13 @@ def riesz_congruence_roundtrip(g: FiniteGpea, rel: Partition) -> RoundtripVerdic
 def ideal_closure(g: FiniteGpea, seed: int) -> int:
     """Least ideal (as bitmask) containing the seed bitmask."""
     down = g.order.down_masks
-    op = g.op
     mask = seed | 1  # ideals contain 0
     while True:
         new = mask
         for x in range(g.size):
             if mask >> x & 1:
                 new |= down[x]
-        for (a, b), s in op.items():
+        for a, b, s in g.sums:
             if new >> a & 1 and new >> b & 1:
                 new |= 1 << s
         if new == mask:

@@ -95,11 +95,10 @@ def _commutes_below(g: FiniteGpea, e12: int, e21: int) -> bool:
 def rdp_profile(g: FiniteGpea) -> RdpProfile:
     """Evaluate all four decomposition properties by exhaustive search."""
     g.require_validated()
+    # Row-major order of g.sums keeps every list of pairs sorted.
     pairs: list[list[tuple[int, int]]] = [[] for _ in g.elements]
-    for (x, y), s in g.op.items():
+    for x, y, s in g.sums:
         pairs[s].append((x, y))
-    for lst in pairs:
-        lst.sort()
 
     equations = sorted(
         (a, b, c, d) for lst in pairs for (a, b) in lst for (c, d) in lst

@@ -46,7 +46,7 @@ def test_fig1_table():
     extra = {(1, 3): 4, (3, 1): 4, (2, 3): 5, (3, 2): 5}
     for (i, j), k in extra.items():
         assert f.value(i, j) == k
-    assert len(f.op) == 2 * 6 - 1 + len(extra)
+    assert len(f.sums) == 2 * 6 - 1 + len(extra)
     assert [f.name(i) for i in f.elements] == ["0", "a", "b", "c", "a+c", "b+c"]
 
 
@@ -116,7 +116,8 @@ def test_serialize_omits_neutral_entries_and_default_names():
 
 def test_serialize_rejects_unprintable_names():
     g = fig1().relabel((0, 1, 2, 3, 4, 5))
-    g = type(g)(g.size, dict(g.op), ["0", "a b", "b", "c", "d", "e"]).validate()
+    op = {(a, b): s for a, b, s in g.sums}
+    g = type(g)(g.size, op, ["0", "a b", "b", "c", "d", "e"]).validate()
     with pytest.raises(MalformedTableError):
         serialize(g)
 
@@ -276,7 +277,7 @@ def test_known_size_three_classes(enumerated_by_size):
     three = enumerated_by_size[3]
     assert three[0].same_table(chain(2))
     # The other class has no sums beyond the neutral ones.
-    assert all(0 in pair for pair in three[1].op)
+    assert all(0 in (a, b) for a, b, _ in three[1].sums)
 
 
 def test_known_size_four_structure_flags(enumerated_by_size):

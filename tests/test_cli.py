@@ -402,10 +402,11 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         (["enumerate", "--size", "5"], 0, "enumerate-size-5.txt"),
         (["verify", "all", "--budget", "4"], 1, "verify-all-budget-4.txt"),
+        (["verify", "all", "--budget", "5"], 1, "verify-all-budget-5.txt"),
     ],
 )
 def test_output_matches_golden_file(capsys, argv, code, golden):
-    # The verify instance family is enumerate_gpeas(1..4) in table-key
+    # The verify instance family is enumerate_gpeas(1..budget) in table-key
     # order, so a reordered or changed enumeration shows up here too.
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert invoke(capsys, argv) == (code, expected, "")

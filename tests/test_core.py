@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import pytest
 
 from gpea import (
     AXIOMS,
+    BudgetExceededError,
     FiniteGpea,
     InvalidAlgebraError,
     MalformedTableError,
@@ -13,6 +17,7 @@ from gpea import (
     NoUnitError,
     boolean,
     chain,
+    enumerate_gpeas,
     extended_cancellation_witness,
     element_budget,
     fig1,
@@ -20,6 +25,7 @@ from gpea import (
     induced_order,
     is_isomorphism,
     pea_view,
+    product,
     subtract,
     validate_axioms,
 )
@@ -246,6 +252,41 @@ def test_relabel_produces_isomorphic_table(fig1_algebra):
     assert is_isomorphism(f, r2, move)
 
 
+def brute_isomorphism(p, q, phi) -> bool:
+    """The definition: a bijection with ``p(a + b) == phi(a) + phi(b)``,
+    each side defined exactly when the other is."""
+    if p.size != q.size or len(set(phi)) != p.size:
+        return False
+    for a in p.elements:
+        for b in p.elements:
+            s, t = p.value(a, b), q.value(phi[a], phi[b])
+            if (s is None) != (t is None) or (s is not None and phi[s] != t):
+                return False
+    return True
+
+
+def test_is_isomorphism_matches_the_definition_on_every_map():
+    tables = [g for n in range(1, 5) for g in enumerate_gpeas(n)]
+    for p in tables:
+        for q in tables:
+            if q.size != p.size:
+                assert not is_isomorphism(p, q, tuple(range(p.size)))
+                continue
+            for phi in itertools.product(range(p.size), repeat=p.size):
+                assert is_isomorphism(p, q, phi) == brute_isomorphism(p, q, phi), (
+                    p.table_key(), q.table_key(), phi
+                )
+
+
+def test_is_isomorphism_rejects_a_collapsing_map():
+    # Every nonzero sum undefined: a map folding 2 onto 1 preserves the table.
+    g = FiniteGpea(3, {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2})
+    g.validate()
+    assert g.table_key() == (0, 1, 2, 1, 3, 3, 2, 3, 3)
+    assert not is_isomorphism(g, g, (0, 1, 1))
+    assert is_isomorphism(g, g, (0, 2, 1))
+
+
 def test_morphism_modes():
     assert find_morphisms(chain(2), chain(2), "auto") == [(0, 1, 2)]
     with pytest.raises(ValueError):
@@ -262,3 +303,24 @@ def test_element_budget_default_and_override(monkeypatch):
     assert element_budget() == 4096
     monkeypatch.setenv("GPEA_BUDGET", "12")
     assert element_budget() == 12
+
+
+def test_chain_and_product_refuse_oversized_carriers_before_building(monkeypatch):
+    monkeypatch.setenv("GPEA_BUDGET", "16")
+    small = chain(15)
+    message = (
+        "carrier of {} elements exceeds the budget of 16 (set GPEA_BUDGET to raise it)"
+    )
+    # Sizes small enough that building first would cost well under a
+    # second, yet far above the memory bound below.
+    cases = [(lambda: chain(300), 301), (lambda: product(small, small), 256)]
+    for build, size in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as info:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message.format(size)
+        assert peak < 64 * 1024

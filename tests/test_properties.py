@@ -48,7 +48,8 @@ def renamed_algebras(draw):
     names = draw(
         st.lists(name_token, min_size=g.size, max_size=g.size, unique=True)
     )
-    return FiniteGpea(g.size, dict(g.op), tuple(names)).validate()
+    op = {(a, b): s for a, b, s in g.sums}
+    return FiniteGpea(g.size, op, tuple(names)).validate()
 
 
 @st.composite

@@ -69,11 +69,12 @@ def test_non_automorphism_is_not_unitizing(fig1_algebra):
 def _brute_unitizing(g, perm):
     """The definition itself: relabelling by ``perm`` leaves the table
     unchanged, and ``perm(a) + b`` is defined exactly when ``b + a`` is."""
-    relabelled = {(perm[a], perm[b]): perm[s] for (a, b), s in g.op.items()}
+    op = {(a, b): s for a, b, s in g.sums}
+    relabelled = {(perm[a], perm[b]): perm[s] for (a, b), s in op.items()}
     transfer = all(
         g.defined(perm[a], b) == g.defined(b, a) for a in g.elements for b in g.elements
     )
-    return relabelled == g.op and transfer
+    return relabelled == op and transfer
 
 
 def test_unitizing_and_twist_checks_match_brute_force(fig1_algebra, enumerated_by_size):
@@ -119,7 +120,7 @@ def test_extension_operation_clauses(fig1_algebra):
     ua = gamma_unitize(fig1_algebra, IDENTITY6)
     u = ua.algebra
     # Base sums are preserved.
-    for (a, b), s in fig1_algebra.op.items():
+    for a, b, s in fig1_algebra.sums:
         assert u.value(a, b) == s
     # a + ηb is defined exactly when a <= b, with value η(b minus a).
     assert u.value(1, ua.eta(4)) == ua.eta(3)
@@ -220,7 +221,7 @@ def test_two_valued_state_kernel_on_chain_extension():
 def test_state_additivity(fig1_algebra):
     ua = gamma_unitize(fig1_algebra, IDENTITY6)
     for s in two_valued_states(ua.algebra):
-        for (a, b), c in ua.algebra.op.items():
+        for a, b, c in ua.algebra.sums:
             assert s.values[a] + s.values[b] == s.values[c]
 
 
