@@ -35,6 +35,7 @@ from .core import (
     FiniteGpea,
     InvalidAlgebraError,
     InvariantViolation,
+    MalformedTableError,
     classify,
     find_morphisms,
     validate_axioms,
@@ -90,7 +91,7 @@ def _load_table(source: str) -> FiniteGpea:
             raise _InputError(f"cannot read {source}: {exc}") from exc
     try:
         return builtin(source)
-    except AlgebraError:
+    except MalformedTableError:  # a budget refusal keeps its own message
         raise _InputError(
             f"{source!r} is neither an existing file nor a builtin expression "
             "(try fig1, chain(2), boolean(2), product(chain(1),chain(2)))"

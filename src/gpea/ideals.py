@@ -167,24 +167,19 @@ def _check_r1(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
     """
     n = g.size
     table = g.table
-    le = g.le
     down = g.order.down_masks
+    down_or_none = [*down, 0]  # index n is the undefined sum
     lower_members: list[list[int]] = [
         [j for j in inside if down[a] >> j & 1] for a in range(n)
     ]
     for a, b, s in g.sums:
-        under_s = [i for i in inside if le(i, s)]
-        if not under_s:
-            continue
-        covers = 0  # bitmask of members i already justified
+        covers = 0  # bitmask of everything below some member sum j + k
         for j in lower_members[a]:
+            row = j * n
             for k in lower_members[b]:
-                t = table[j * n + k]
-                if t != n:
-                    covers |= down[t]
-        for i in under_s:
-            if not covers >> i & 1:
-                return False
+                covers |= down_or_none[table[row + k]]
+        if mask & down[s] & ~covers:
+            return False
     return True
 
 
@@ -194,40 +189,36 @@ def _check_r2(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
     Clause one: for ``i <= a``, whenever ``(a minus i) + b`` is defined some
     member ``j <= b`` makes ``a + (j-to-b residual)`` defined.  Clause two:
     whenever ``b + (i-to-a residual)`` is defined some member ``k <= b``
-    makes ``(b minus k) + a`` defined.
+    makes ``(b minus k) + a`` defined.  The "some member" side depends on
+    ``a`` and ``b`` only: it is tabulated per ``b`` as a bitmask of ``a``,
+    then transposed, so each ``(i, a)`` costs two mask tests.
     """
     n = g.size
-    table = g.table
-    le = g.le
-    down = g.order.down_masks
-    lower_members: list[list[int]] = [
-        [j for j in inside if down[b] >> j & 1] for b in range(n)
-    ]
+    left, right = g.subtraction_tables
+    down, up = g.order.down_masks, g.order.up_masks
+    after = [0] * n  # after[x]: the y with x + y defined
+    before = [0] * n  # before[y]: the x with x + y defined
+    for x, y, _ in g.sums:
+        after[x] |= 1 << y
+        before[y] |= 1 << x
+    works_one = [0] * n  # works_one[a]: the b where clause one finds a member
+    works_two = [0] * n
+    for b in range(n):
+        one = two = 0
+        for j in inside:
+            if down[b] >> j & 1:
+                one |= before[left[j * n + b]]
+                two |= after[right[j * n + b]]
+        for a in range(n):
+            works_one[a] |= (one >> a & 1) << b
+            works_two[a] |= (two >> a & 1) << b
     for i in inside:
         for a in range(n):
-            if not le(i, a):
-                continue
-            a_minus_i = g.right_subtraction(i, a)  # x with x + i == a
-            i_into_a = g.left_subtraction(i, a)  # y with i + y == a
-            for b in range(n):
-                if table[a_minus_i * n + b] != n:
-                    ok = False
-                    for j in lower_members[b]:
-                        resid = g.left_subtraction(j, b)  # j + resid == b
-                        if resid is not None and table[a * n + resid] != n:
-                            ok = True
-                            break
-                    if not ok:
-                        return False
-                if table[b * n + i_into_a] != n:
-                    ok = False
-                    for k in lower_members[b]:
-                        rem = g.right_subtraction(k, b)  # rem + k == b
-                        if rem is not None and table[rem * n + a] != n:
-                            ok = True
-                            break
-                    if not ok:
-                        return False
+            if up[i] >> a & 1 and (
+                after[right[i * n + a]] & ~works_one[a]
+                or before[left[i * n + a]] & ~works_two[a]
+            ):
+                return False
     return True
 
 
@@ -755,23 +746,42 @@ def ideal_closure(g: FiniteGpea, seed: int) -> int:
 def enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
     """All ideals, smallest first (by size, then by sorted members).
 
-    Generated as closures: starting from the zero ideal, repeatedly adjoin
-    one new element and close under downward membership and defined sums.
-    Every ideal is reachable this way, so the enumeration is complete.
+    Grown from the zero ideal: an ideal ``I`` is extended only by an ``x``
+    whose strict lower set lies in ``I``, and the closure of ``I ∪ {x}``
+    is grown from ``I``.  This reaches every ideal ``J``: for ``I ⊊ J`` and
+    ``m`` minimal in ``J \\ I``, everything strictly below ``m`` lies in
+    ``I``, so ``m`` is adjoined, and the closure of ``I ∪ {m}`` is an ideal
+    inside ``J``, larger than ``I``.
     """
     g.require_validated()
     n = g.size
-    seen: set[int] = set()
-    frontier = [ideal_closure(g, 1)]
-    seen.add(frontier[0])
+    down = g.order.down_masks
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, s in g.sums:  # partners[y]: each defined (z, y + z), (z, z + y)
+        partners[a].append((b, s))
+        partners[b].append((a, s))
+    seen = {1}  # the zero ideal
+    frontier = [1]
     while frontier:
         current = frontier.pop()
         for x in range(n):
-            if not current >> x & 1:
-                grown = ideal_closure(g, current | 1 << x)
-                if grown not in seen:
-                    seen.add(grown)
-                    frontier.append(grown)
+            if down[x] & ~current != 1 << x:
+                continue
+            # Each element entering pushes its lower set and its sums with
+            # the members present, so every pair is summed once both are in.
+            grown, pending = current, [x]
+            while pending:
+                y = pending.pop()
+                if grown >> y & 1:
+                    continue
+                grown |= 1 << y
+                fresh = down[y] & ~grown
+                if fresh:
+                    pending += [z for z in range(n) if fresh >> z & 1]
+                pending += [s for z, s in partners[y] if grown >> z & 1]
+            if grown not in seen:
+                seen.add(grown)
+                frontier.append(grown)
     subsets = [
         frozenset(x for x in range(n) if mask >> x & 1) for mask in seen
     ]

@@ -314,23 +314,18 @@ def _candidate_maps(
     """All unit/zero-preserving sum-preserving maps fixing the first half.
 
     Any such map must send the mirror of ``t`` to a partner ``y`` with
-    ``t + y`` equal to the kite's unit, because that sum is defined in
+    ``t + y`` equal to the kite's unit ``m``, because that sum is defined in
     the extension and must be preserved.  Candidates are enumerated from
     those partner sets and filtered by the full one-way sum check.
     """
-    unit = m
+    size, table = kite.size, kite.table
     pools = [
-        [y for y in kite.elements if kite.value(t, y) == unit] for t in range(m)
+        [y for y in range(size) if table[t * size + y] == m] for t in range(m)
     ]
     for choice in itertools.product(*pools):
         psi = tuple(range(m)) + choice
-        ok = True
-        for a, b, s in u.sums:
-            target = kite.value(psi[a], psi[b])
-            if target is None or target != psi[s]:
-                ok = False
-                break
-        if ok:
+        # An undefined image sum reads as the sentinel, never a psi value.
+        if all(table[psi[a] * size + psi[b]] == psi[s] for a, b, s in u.sums):
             yield psi
 
 
@@ -363,10 +358,9 @@ def kite_iso(spec: KiteSpec) -> KiteIsoReport:
                 "identity-fixing sum-preserving map onto the kite is not unique"
             )
     else:
+        size, table = kite.algebra.size, kite.algebra.table
         for t in range(m):
-            partners = [
-                y for y in kite.algebra.elements if kite.algebra.value(t, y) == m
-            ]
+            partners = [y for y in range(size) if table[t * size + y] == m]
             if partners != [phi[t + m]]:
                 raise InvariantViolation(
                     "unit partner in the kite is not uniquely the canonical image"

@@ -1,6 +1,6 @@
 """Riesz decomposition properties and their transfer into unit extensions.
 
-Four brute-force checkers over a finite partial-operation table:
+Four exhaustive checkers over a finite partial-operation table:
 
 * **RDP** — every identity ``a + b == c + d`` admits a refinement matrix
   ``e11, e12, e21, e22`` with ``a = e11 + e12``, ``b = e21 + e22``,
@@ -17,6 +17,14 @@ with the extra property suffices.  "Commute" demands both orders
 defined; the meet condition is read as "every common lower bound is 0",
 which needs no actual meets in the underlying poset.
 
+Refinements are not searched but derived.  For ``a + b == c + d`` the
+corner ``e11`` runs over the common lower bounds of ``a`` and ``c``;
+cancellation then fixes the rest by subtraction (``e12`` with
+``e11 + e12 == a``, ``e21`` with ``e11 + e21 == c``, ``e22`` with
+``e21 + e22 == b``), leaving only ``e12 + e22 == d`` to test, so each
+refinement is found exactly once.  RDP0 collects, per defined ``b + c``,
+the bitmask of all sums ``b1 + c1`` below it.
+
 For a total base algebra, each of the four properties holds in the base
 exactly when it holds in any of its unit extensions; ``rdp_transfer``
 checks that equivalence and refuses non-total input, where it genuinely
@@ -27,7 +35,7 @@ extension does not).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import FiniteGpea, InvariantViolation, MalformedTableError
 from .unitization import gamma_unitize
@@ -66,86 +74,71 @@ class RdpProfile:
         return out
 
 
-def _refinements(
-    g: FiniteGpea,
-    pairs: list[list[tuple[int, int]]],
-    a: int,
-    b: int,
-    c: int,
-    d: int,
-) -> Iterator[tuple[int, int, int, int]]:
-    for e11, e12 in pairs[a]:
-        for e21, e22 in pairs[b]:
-            if g.value(e11, e21) == c and g.value(e12, e22) == d:
-                yield e11, e12, e21, e22
-
-
-def _commutes_below(g: FiniteGpea, e12: int, e21: int) -> bool:
-    masks = g.order.down_masks
-    lower_left = [x for x in g.elements if masks[e12] >> x & 1]
-    lower_right = [y for y in g.elements if masks[e21] >> y & 1]
-    for f in lower_left:
-        for h in lower_right:
-            s = g.value(f, h)
-            if s is None or g.value(h, f) != s:
-                return False
-    return True
-
-
 def rdp_profile(g: FiniteGpea) -> RdpProfile:
     """Evaluate all four decomposition properties by exhaustive search."""
     g.require_validated()
-    # Row-major order of g.sums keeps every list of pairs sorted.
-    pairs: list[list[tuple[int, int]]] = [[] for _ in g.elements]
+    n = g.size
+    table = g.table
+    left = g.subtraction_tables[0]
+    down = g.order.down_masks
+    below = [[x for x in range(n) if down[y] >> x & 1] for y in range(n)]
+    # Row-major order of g.sums keeps every list of pairs sorted, so the
+    # loop below meets the identities a + b == c + d in lexicographic order
+    # and the first failure of each property is its witness.
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for x, y, s in g.sums:
         pairs[s].append((x, y))
 
-    equations = sorted(
-        (a, b, c, d) for lst in pairs for (a, b) in lst for (c, d) in lst
-    )
-
-    down_masks = g.order.down_masks
+    commutes: dict[int, bool] = {}  # e12 * n + e21 -> "commutes below"
     rdp = rdp1 = rdp2 = True
     w_rdp = w_rdp1 = w_rdp2 = None
-    for eq in equations:
-        a, b, c, d = eq
-        found = found1 = found2 = False
-        for e11, e12, e21, e22 in _refinements(g, pairs, a, b, c, d):
-            found = True
-            if not found1 and _commutes_below(g, e12, e21):
-                found1 = True
-            if not found2 and down_masks[e12] & down_masks[e21] == 1:
-                found2 = True
-            if found1 and found2:
-                break
-        if rdp and not found:
-            rdp, w_rdp = False, eq
-        if rdp1 and not found1:
-            rdp1, w_rdp1 = False, eq
-        if rdp2 and not found2:
-            rdp2, w_rdp2 = False, eq
-
-    rdp0 = True
-    w_rdp0 = None
-    for a in g.elements:
-        if not rdp0:
-            break
-        for b in g.elements:
-            if not rdp0:
-                break
-            for c in g.elements:
-                s = g.value(b, c)
-                if s is None or not g.le(a, s):
+    for a, b, s in g.sums:
+        for c, d in pairs[s]:
+            found = False
+            found1, found2 = not rdp1, not rdp2  # a later failure is no witness
+            for e11 in below[a]:
+                if not down[c] >> e11 & 1:
                     continue
-                if not any(
-                    g.value(b1, c1) == a
-                    for b1 in g.elements
-                    if down_masks[b] >> b1 & 1
-                    for c1 in g.elements
-                    if down_masks[c] >> c1 & 1
-                ):
-                    rdp0, w_rdp0 = False, (a, b, c)
+                e12 = left[e11 * n + a]
+                e21 = left[e11 * n + c]
+                e22 = left[e21 * n + b]
+                if e22 == n or table[e12 * n + e22] != d:
+                    continue
+                found = True
+                if not found1:
+                    key = e12 * n + e21
+                    if key not in commutes:
+                        commutes[key] = all(
+                            table[f * n + h] != n
+                            and table[f * n + h] == table[h * n + f]
+                            for f in below[e12]
+                            for h in below[e21]
+                        )
+                    found1 = commutes[key]
+                found2 = found2 or down[e12] & down[e21] == 1
+                if found1 and found2:
                     break
+            if rdp and not found:
+                rdp, w_rdp = False, (a, b, c, d)
+            if not found1:
+                rdp1, w_rdp1 = False, (a, b, c, d)
+            if not found2:
+                rdp2, w_rdp2 = False, (a, b, c, d)
+
+    w_rdp0 = None
+    for b, c, s in g.sums:
+        # Bit n stands for "undefined" and lies outside every down mask.
+        reach = 0
+        for b1 in below[b]:
+            row = b1 * n
+            for c1 in below[c]:
+                reach |= 1 << table[row + c1]
+        unsplit = down[s] & ~reach
+        if unsplit:
+            a = (unsplit & -unsplit).bit_length() - 1
+            if w_rdp0 is None or a < w_rdp0[0]:
+                w_rdp0 = (a, b, c)
+    rdp0 = w_rdp0 is None
 
     if rdp and not rdp0:
         raise InvariantViolation(

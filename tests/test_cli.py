@@ -87,6 +87,16 @@ def test_check_rejects_unknown_source(capsys):
     assert "neither an existing file nor a builtin expression" in err
 
 
+def test_check_reports_budget_refusal_of_a_builtin(capsys, monkeypatch):
+    monkeypatch.setenv("GPEA_BUDGET", "16")
+    code, out, err = invoke(capsys, ["check", "chain(100000000)"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: carrier of 100000001 elements exceeds the budget of 16 "
+        "(set GPEA_BUDGET to raise it)\n"
+    )
+
+
 def test_check_reads_stdin(capsys, monkeypatch):
     code, out, _ = invoke(
         capsys,
