@@ -48,7 +48,7 @@ from .ideals import (
     sim_from_ideal,
     smallest_normal_riesz_ideal,
 )
-from .kites import KiteSpec, build_kite, check_kc, index_connectivity
+from .kites import KiteSpec, _kite_connectivity, build_kite, check_kc
 from .rdp import rdp_profile
 from .unitization import enumerate_unitizing, gamma_unitize
 from .verify import DEFAULT_ENUMERATION_BUDGET, SCOPES, run_verify
@@ -225,7 +225,7 @@ def _cmd_kite(args: argparse.Namespace) -> int:
     spec = KiteSpec(base, args.index, lam, rho)
     kc = check_kc(spec)
     built = build_kite(spec)
-    connectivity = index_connectivity(spec)
+    connectivity = _kite_connectivity(built)
     summary = [
         f"RESULT kci={str(kc.kci).lower()}",
         f"RESULT kcii={str(kc.kcii).lower()}",

@@ -365,17 +365,31 @@ class OrderRelation:
     def check_partial_order(self) -> None:
         """Reflexivity, antisymmetry, transitivity, and minimality of 0."""
         n = self.size
-        full = (1 << n) - 1
-        if self.up_masks[0] != full:
+        up = self.up_masks
+        down = self.down_masks
+        if up[0] != (1 << n) - 1:
             raise InvariantViolation("0 is not below every element")
         for a in range(n):
-            if not self.up_masks[a] >> a & 1:
+            self_bit = 1 << a
+            if not up[a] & self_bit:
                 raise InvariantViolation(f"order not reflexive at {a}")
-            for b in range(n):
-                if a != b and self.le(a, b) and self.le(b, a):
-                    raise InvariantViolation(f"order not antisymmetric at ({a}, {b})")
-                if self.le(a, b) and self.up_masks[b] & ~self.up_masks[a]:
+            # Witnesses come out in the order of a scan over b that tests
+            # antisymmetry before transitivity at each b.
+            both = up[a] & down[a] & ~self_bit
+            first_both = (both & -both).bit_length() - 1 if both else n
+            above = up[a]
+            while above:
+                low = above & -above
+                b = low.bit_length() - 1
+                if b >= first_both:
+                    break
+                if up[b] & ~up[a]:
                     raise InvariantViolation(f"order not transitive above ({a}, {b})")
+                above ^= low
+            if both:
+                raise InvariantViolation(
+                    f"order not antisymmetric at ({a}, {first_both})"
+                )
 
 
 @dataclass(frozen=True)
@@ -687,12 +701,26 @@ def _check_pea_identities(g: FiniteGpea, view: PeaView) -> None:
         if not (le(rs[b], rs[a]) and le(ls[b], ls[a])):
             fail("supplements do not reverse the order")
 
-    # existence criterion: a+b defined iff b <= rs(a) iff a <= ls(b)
-    for a in range(n):
-        for b in range(n):
-            d = t[a * n + b] != n
-            if d != le(b, rs[a]) or d != le(a, ls[b]):
-                fail("existence criterion via supplements")
+    if not _existence_criterion(g, rs, ls):
+        fail("existence criterion via supplements")
+
+
+def _existence_criterion(g: FiniteGpea, rs: Sequence[int], ls: Sequence[int]) -> bool:
+    """``a+b`` defined iff ``b <= rs(a)`` iff ``a <= ls(b)``, for all ``a, b``.
+
+    Row ``a`` of the table must be defined exactly on ``down[rs(a)]`` and
+    column ``b`` exactly on ``down[ls(b)]``.
+    """
+    n = g.size
+    rows = [0] * n
+    cols = [0] * n
+    for a, b, _ in g.sums:
+        rows[a] |= 1 << b
+        cols[b] |= 1 << a
+    down = g.order.down_masks
+    return all(rows[a] == down[rs[a]] for a in range(n)) and all(
+        cols[b] == down[ls[b]] for b in range(n)
+    )
 
 
 def _check_subtraction_formulas(g: FiniteGpea, view: PeaView) -> None:

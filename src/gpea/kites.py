@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -207,12 +207,22 @@ def kite_gamma(spec: KiteSpec) -> tuple[int, ...]:
 
 
 def _kite_gamma_on(power: PowerGpea, spec: KiteSpec) -> tuple[int, ...]:
+    gamma, unitizing = _twist_on(power, spec)
+    _require_transfer(spec, unitizing)
+    return gamma
+
+
+def _twist_on(power: PowerGpea, spec: KiteSpec) -> tuple[tuple[int, ...], bool]:
+    """The twist's reindexing permutation of the power, and whether it is unitizing."""
     gamma = power.reindexing_permutation(spec.twist_indices)
-    if is_unitizing(power.algebra, gamma) != check_kc(spec).kci:
+    return gamma, is_unitizing(power.algebra, gamma)
+
+
+def _require_transfer(spec: KiteSpec, unitizing: bool) -> None:
+    if unitizing != check_kc(spec).kci:
         raise InvariantViolation(
             "twist permutation is unitizing exactly when the transfer condition holds"
         )
-    return gamma
 
 
 @dataclass(frozen=True)
@@ -243,8 +253,13 @@ class KiteAlgebra:
 
 def build_kite(spec: KiteSpec) -> KiteAlgebra:
     """Construct the kite table from the four clauses and validate it."""
-    kc = check_kc(spec)
-    if not kc.kci:
+    _require_pastable(spec)
+    power = power_gpea(spec.base, spec.index_size)
+    return _paste(spec, power, _kite_gamma_on(power, spec))
+
+
+def _require_pastable(spec: KiteSpec) -> None:
+    if not check_kc(spec).kci:
         raise MalformedTableError(
             "kite construction requires the transfer condition on (rho, lam)"
         )
@@ -253,8 +268,11 @@ def build_kite(spec: KiteSpec) -> KiteAlgebra:
         raise BudgetExceededError(
             f"kite carrier of {2 * m} elements exceeds the budget of {element_budget()}"
         )
-    power = power_gpea(spec.base, spec.index_size)
-    gamma = _kite_gamma_on(power, spec)
+
+
+def _paste(spec: KiteSpec, power: PowerGpea, gamma: tuple[int, ...]) -> KiteAlgebra:
+    """The kite table over a built power; the caller has checked the spec."""
+    m = power.algebra.size
     p = spec.base
     k = spec.index_size
     op = {(a, b): s for a, b, s in power.algebra.sums}
@@ -330,9 +348,20 @@ def _candidate_maps(
 
 
 def kite_iso(spec: KiteSpec) -> KiteIsoReport:
-    """Build both sides, exhibit the canonical isomorphism, verify its laws."""
+    """Build both sides, exhibit the canonical isomorphism, verify its laws.
+
+    A single call builds the power, the kite and the unit extension once
+    each.  ``verify`` shares the power and the extension between the specs
+    of one (base, index size) instead, through the same report function:
+    the extension depends only on the power and the twist permutation,
+    and every check below runs on each spec's own kite.
+    """
     kite = build_kite(spec)
-    extension = gamma_unitize(kite.power.algebra, kite.gamma)
+    return _iso_report(kite, gamma_unitize(kite.power.algebra, kite.gamma))
+
+
+def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoReport:
+    spec = kite.spec
     m = kite.m
     power = kite.power
     lam, rho = spec.lam, spec.rho
@@ -421,7 +450,46 @@ class ConnectivityReport:
 
 
 def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
-    """Partition the index set into twist orbits and verify the consequences."""
+    """Partition the index set into twist orbits and verify the consequences.
+
+    A single call builds the power and, when the transfer condition holds
+    within budget, the kite once, and computes the kite's refinement
+    property and normal Riesz ideals on the kite itself.  ``verify``
+    computes both once per twist on the unit extension instead and hands
+    them to the same report function, carried through the isomorphism
+    that :func:`kite_iso` has checked for that spec: RDP₁ is invariant
+    under isomorphism, and each ideal is mapped element by element.
+    """
+    power = power_gpea(spec.base, spec.index_size)
+    gamma = _kite_gamma_on(power, spec)
+    if _reports_on_kite(spec, power):
+        return _kite_connectivity(_paste(spec, power, gamma))
+    return _connectivity_report(spec, power, gamma, None)
+
+
+def _reports_on_kite(spec: KiteSpec, power: PowerGpea) -> bool:
+    """Whether the connectivity report covers the kite: it exists within budget."""
+    return check_kc(spec).kci and 2 * power.algebra.size <= element_budget()
+
+
+def _kite_connectivity(kite: KiteAlgebra) -> ConnectivityReport:
+    """The connectivity report of a built kite, from its own ideals."""
+    g = kite.algebra
+    refinement = (rdp_profile(g).rdp1, normal_riesz_ideals(g))
+    return _connectivity_report(kite.spec, kite.power, kite.gamma, refinement)
+
+
+def _connectivity_report(
+    spec: KiteSpec,
+    power: PowerGpea,
+    gamma: tuple[int, ...],
+    refinement: tuple[bool, Sequence[frozenset[int]]] | None,
+) -> ConnectivityReport:
+    """Check the component ideals and assemble the report.
+
+    ``refinement`` is the kite's RDP₁ verdict and its nontrivial normal
+    Riesz ideals, or ``None`` when no kite is built.
+    """
     sigma = spec.twist_indices
     seen: set[int] = set()
     components: list[frozenset[int]] = []
@@ -437,8 +505,6 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
         components.append(frozenset(orbit))
     components.sort(key=min)
 
-    power = power_gpea(spec.base, spec.index_size)
-    gamma = _kite_gamma_on(power, spec)
     supported = []
     for comp in components:
         members = frozenset(
@@ -467,13 +533,12 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     smallest: frozenset[int] | None = None
     smallest_proper: frozenset[int] | None = None
     implication_checked = False
-    if check_kc(spec).kci and 2 * power.algebra.size <= element_budget():
-        kite = build_kite(spec)
-        kite_rdp1 = rdp_profile(kite.algebra).rdp1
-        family = normal_riesz_ideals(kite.algebra)
+    if refinement is not None:
+        kite_rdp1, family = refinement
         smallest = least_ideal(family)
+        kite_size = 2 * power.algebra.size
         smallest_proper = least_ideal(
-            [members for members in family if len(members) != kite.algebra.size]
+            [members for members in family if len(members) != kite_size]
         )
         if spec.base.flags.upward_directed and kite_rdp1:
             implication_checked = True
@@ -491,3 +556,71 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
         kite_smallest_proper=smallest_proper,
         implication_checked=implication_checked,
     )
+
+
+class _SharedPower:
+    """One power of one base, with what the kites over it share.
+
+    A run over many specs of the same (base, index size) builds the power
+    once, and per distinct twist permutation the unit extension and its
+    RDP₁ verdict and normal Riesz ideals once.  Each spec still gets its
+    own kite and the full :func:`kite_iso` checks; its connectivity report
+    takes the extension's verdict unchanged and the extension's ideals
+    mapped through the spec's checked isomorphism.  Nothing is cached
+    anywhere else: a caller keeps one object per (base, index size) and
+    drops it before making the next.
+    """
+
+    def __init__(self, base: FiniteGpea, k: int):
+        self.power = power_gpea(base, k)
+        self._extensions: dict[tuple[int, ...], UnitizationAlgebra] = {}
+        self._refinements: dict[tuple[int, ...], tuple[bool, list[frozenset[int]]]] = {}
+
+    def twist(self, spec: KiteSpec) -> tuple[tuple[int, ...], bool]:
+        """The spec's reindexing permutation and whether it is unitizing."""
+        return _twist_on(self.power, spec)
+
+    def kite_iso(self, spec: KiteSpec, gamma: tuple[int, ...], unitizing: bool) -> KiteIsoReport:
+        """:func:`kite_iso` of ``spec``, over the shared power and extension."""
+        _require_pastable(spec)
+        _require_transfer(spec, unitizing)
+        kite = _paste(spec, self.power, gamma)
+        extension = self._extensions.get(gamma)
+        if extension is None:
+            extension = self._extensions[gamma] = gamma_unitize(self.power.algebra, gamma)
+        return _iso_report(kite, extension)
+
+    def index_connectivity(
+        self,
+        spec: KiteSpec,
+        gamma: tuple[int, ...],
+        unitizing: bool,
+        iso: KiteIsoReport | None,
+    ) -> ConnectivityReport:
+        """:func:`index_connectivity` of ``spec``, given its checked ``iso``.
+
+        ``iso`` is ``None`` when the isomorphism check failed or was not
+        run; a spec whose kite would be built then fails here.
+        """
+        _require_transfer(spec, unitizing)
+        refinement = None
+        if _reports_on_kite(spec, self.power):
+            if iso is None:
+                raise InvariantViolation(
+                    "no checked isomorphism to carry the kite's ideals through"
+                )
+            rdp1, family = self._refinement(iso.extension.algebra, gamma)
+            phi = iso.phi
+            refinement = (rdp1, [frozenset(phi[x] for x in members) for members in family])
+        return _connectivity_report(spec, self.power, gamma, refinement)
+
+    def _refinement(
+        self, extension: FiniteGpea, gamma: tuple[int, ...]
+    ) -> tuple[bool, list[frozenset[int]]]:
+        found = self._refinements.get(gamma)
+        if found is None:
+            found = self._refinements[gamma] = (
+                rdp_profile(extension).rdp1,
+                normal_riesz_ideals(extension),
+            )
+        return found

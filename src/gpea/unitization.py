@@ -180,19 +180,21 @@ def _check_unitization(ua: UnitizationAlgebra) -> None:
     def fail(msg: str, a: int, b: int) -> None:
         raise InvariantViolation(f"{msg} at ({a}, {b})")
 
+    # g's tables mark "undefined" with n and u's with 2n, so shifting a
+    # subtraction entry by n turns the one marker into the other.
+    big = 2 * n
+    gt, ut = g.table, u.table
+    left, right = g.subtraction_tables
     for a in range(n):
         for b in range(n):
-            if u.value(a, b) != g.value(a, b):
+            s = gt[a * n + b]
+            if ut[a * big + b] != (big if s == n else s):
                 fail("restriction to the base differs from the base operation", a, b)
-            expect = g.right_subtraction(a, b)
-            got = u.value(a, b + n)
-            if got != (None if expect is None else expect + n):
+            if ut[a * big + b + n] != right[a * n + b] + n:
                 fail("left absorption clause violated", a, b + n)
-            expect = g.left_subtraction(gamma[b], a)
-            got = u.value(a + n, b)
-            if got != (None if expect is None else expect + n):
+            if ut[(a + n) * big + b] != left[gamma[b] * n + a] + n:
                 fail("right absorption clause violated", a + n, b)
-            if u.defined(a + n, b + n):
+            if ut[(a + n) * big + b + n] != big:
                 fail("mirror elements must never compose", a + n, b + n)
 
     view = u.pea

@@ -42,7 +42,7 @@ from .ideals import (
     riesz_congruence_roundtrip,
     sim_from_ideal,
 )
-from .kites import KiteSpec, check_kc, index_connectivity, kite_iso, power_gpea
+from .kites import KiteSpec, _SharedPower, check_kc
 from .rdp import rdp_profile, rdp_transfer
 from .unitization import (
     UnitizationAlgebra,
@@ -50,7 +50,6 @@ from .unitization import (
     congruence_suite,
     enumerate_unitizing,
     gamma_unitize,
-    is_unitizing,
     lift_congruence_biconditional,
     quotient_unitization,
     recognize_unitization,
@@ -519,42 +518,56 @@ def _verify_kite(tallies: _Tallies, notes: list[str]) -> None:
       only sum-preserving map fixing the power pointwise, and the
       supplement maps follow the reindexing formulas with the double
       left supplement equal to the twist.
+
+    Work is shared within one (base, index size) and nothing else: the
+    power is built once, each spec's reindexing permutation and its
+    unitizing verdict are computed once, each buildable kite is built
+    once, and per distinct twist permutation the unit extension, its
+    RDP₁ verdict and its normal Riesz ideals are computed once.  This is
+    exact.  Every spec's kite gets the full isomorphism check, and its
+    connectivity report takes the extension's RDP₁ verdict, an
+    isomorphism invariant, and the extension's ideals mapped element by
+    element through the isomorphism just checked for that spec.  A spec
+    whose isomorphism check fails fails ``kite_component_ideals`` too.
     """
     for base_name, height in _KITE_BASES:
-        base = chain(height)
         for k in range(1, _KITE_MAX_INDEX + 1):
-            power = power_gpea(base, k)
-            perms = list(itertools.permutations(range(k)))
-            for lam in perms:
-                for rho in perms:
-                    spec = KiteSpec(base, k, lam, rho)
-                    label = f"{base_name}:k={k}:lam={lam}:rho={rho}"
-                    kci = check_kc(spec).kci
-                    sigma = power.reindexing_permutation(spec.twist_indices)
-                    tallies["kite_transfer_characterization"].check(
-                        f"{label}: kci={kci}",
-                        is_unitizing(power.algebra, sigma) == kci,
+            _verify_kite_power(tallies, base_name, chain(height), k)
+
+
+def _verify_kite_power(
+    tallies: _Tallies, base_name: str, base: FiniteGpea, k: int
+) -> None:
+    """Every (lam, rho) pair over one power; what they share dies on return."""
+    shared = _SharedPower(base, k)
+    perms = list(itertools.permutations(range(k)))
+    for lam in perms:
+        for rho in perms:
+            spec = KiteSpec(base, k, lam, rho)
+            label = f"{base_name}:k={k}:lam={lam}:rho={rho}"
+            kci = check_kc(spec).kci
+            gamma, unitizing = shared.twist(spec)
+            tallies["kite_transfer_characterization"].check(
+                f"{label}: kci={kci}", unitizing == kci
+            )
+            iso = None
+            if kci:
+                try:
+                    iso = shared.kite_iso(spec, gamma, unitizing)
+                except AlgebraError as exc:
+                    tallies["kite_axioms"].check(f"{label}: {exc}", False)
+                    tallies["kite_extension_isomorphism"].check(
+                        f"{label}: {exc}", False
                     )
-                    try:
-                        index_connectivity(spec)
-                    except AlgebraError as exc:
-                        tallies["kite_component_ideals"].check(
-                            f"{label}: {exc}", False
-                        )
-                    else:
-                        tallies["kite_component_ideals"].check(label, True)
-                    if not kci:
-                        continue
-                    try:
-                        kite_iso(spec)
-                    except AlgebraError as exc:
-                        tallies["kite_axioms"].check(f"{label}: {exc}", False)
-                        tallies["kite_extension_isomorphism"].check(
-                            f"{label}: {exc}", False
-                        )
-                    else:
-                        tallies["kite_axioms"].check(label, True)
-                        tallies["kite_extension_isomorphism"].check(label, True)
+                else:
+                    tallies["kite_axioms"].check(label, True)
+                    tallies["kite_extension_isomorphism"].check(label, True)
+            try:
+                shared.index_connectivity(spec, gamma, unitizing, iso)
+            except AlgebraError as exc:
+                tallies["kite_component_ideals"].check(f"{label}: {exc}", False)
+            else:
+                tallies["kite_component_ideals"].check(label, True)
 
 
 # ------------------------------------------------------------------- rdp scope

@@ -11,6 +11,13 @@ the candidate maps of each kite.  Inputs are every enumerated algebra of
 size at most 5 with its unit extension under each unitizing twist, the
 buildable kites of the ``verify`` grid, and a deterministic
 ``hypothesis`` stream of valid tables.
+
+The bitmask order checks are compared the same way with the per-cell
+sweeps they replaced: ``check_partial_order`` (also on orders with one
+or two pairs toggled, so that every raise and its witness is compared),
+the existence criterion of the unital identities (also with one entry
+of a supplement map overwritten), and the clause loop of the unit-extension contract
+(also on extensions stored with the wrong twist or relabelled).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from gpea import (
     FiniteGpea,
     InvariantViolation,
     KiteSpec,
+    UnitizationAlgebra,
     build_kite,
     chain,
     check_kc,
@@ -36,6 +44,7 @@ from gpea import (
     rdp_profile,
     validate_axioms,
 )
+from gpea.core import OrderRelation, _existence_criterion
 from gpea.ideals import _check_r1, _check_r2
 from gpea.kites import _candidate_maps
 from gpea.rdp import RdpProfile
@@ -258,6 +267,60 @@ def value_candidate_maps(
             yield psi
 
 
+def le_check_partial_order(self: OrderRelation) -> None:
+    """Reflexivity, antisymmetry, transitivity, and minimality of 0."""
+    n = self.size
+    full = (1 << n) - 1
+    if self.up_masks[0] != full:
+        raise InvariantViolation("0 is not below every element")
+    for a in range(n):
+        if not self.up_masks[a] >> a & 1:
+            raise InvariantViolation(f"order not reflexive at {a}")
+        for b in range(n):
+            if a != b and self.le(a, b) and self.le(b, a):
+                raise InvariantViolation(f"order not antisymmetric at ({a}, {b})")
+            if self.le(a, b) and self.up_masks[b] & ~self.up_masks[a]:
+                raise InvariantViolation(f"order not transitive above ({a}, {b})")
+
+
+def le_existence_criterion(g: FiniteGpea, rs: list[int], ls: list[int]) -> bool:
+    """The existence-criterion sweep of the unital identities; it raised
+    ``fail("existence criterion via supplements")`` where this returns False."""
+    n = g.size
+    t = g.table
+    le = g.le
+    # existence criterion: a+b defined iff b <= rs(a) iff a <= ls(b)
+    for a in range(n):
+        for b in range(n):
+            d = t[a * n + b] != n
+            if d != le(b, rs[a]) or d != le(a, ls[b]):
+                return False
+    return True
+
+
+def value_unitization_clauses(g: FiniteGpea, gamma: tuple[int, ...], u: FiniteGpea) -> None:
+    """The clause loop of the unit-extension contract."""
+    n = g.size
+
+    def fail(msg: str, a: int, b: int) -> None:
+        raise InvariantViolation(f"{msg} at ({a}, {b})")
+
+    for a in range(n):
+        for b in range(n):
+            if u.value(a, b) != g.value(a, b):
+                fail("restriction to the base differs from the base operation", a, b)
+            expect = g.right_subtraction(a, b)
+            got = u.value(a, b + n)
+            if got != (None if expect is None else expect + n):
+                fail("left absorption clause violated", a, b + n)
+            expect = g.left_subtraction(gamma[b], a)
+            got = u.value(a + n, b)
+            if got != (None if expect is None else expect + n):
+                fail("right absorption clause violated", a + n, b)
+            if u.defined(a + n, b + n):
+                fail("mirror elements must never compose", a + n, b + n)
+
+
 # ---------------------------------------------------------------------------
 # Comparison
 # ---------------------------------------------------------------------------
@@ -361,3 +424,102 @@ def test_random_subsets(g, bits):
     inside = [x for x in range(g.size) if mask >> x & 1]
     assert _check_r1(g, mask, inside) == brute_check_r1(g, mask, inside)
     assert _check_r2(g, mask, inside) == brute_check_r2(g, mask, inside)
+
+
+# ---------------------------------------------------------------------------
+# Bitmask order checks
+# ---------------------------------------------------------------------------
+
+
+def raised(check) -> str | None:
+    try:
+        check()
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def unital_pool() -> list[FiniteGpea]:
+    """Every enumerated algebra of size at most 5 and its unit extensions."""
+    pool = []
+    for g in ENUMERATED:
+        pool.append(g)
+        pool.extend(gamma_unitize(g, gamma).algebra for gamma in enumerate_unitizing(g))
+    return pool
+
+
+POOL = unital_pool()
+
+
+def test_partial_order_check_matches_the_sweep_on_toggled_pairs():
+    """Every order of the pool with one pair toggled, and for sizes up to 4
+    every two pairs toggled: the same raise with the same witness."""
+    seen: set[str] = set()
+    for g in POOL + [kite.algebra for kite in map(build_kite, (s for _, s in KITES))]:
+        n = g.size
+        pairs = g.order.pairs
+        cells = list(itertools.product(range(n), repeat=2)) if n <= 10 else []
+        toggles = [()] + [(c,) for c in cells]
+        if n <= 4:
+            toggles += list(itertools.combinations(cells, 2))
+        for toggled in toggles:
+            order = OrderRelation(n, pairs.symmetric_difference(toggled))
+            expected = raised(lambda: le_check_partial_order(order))
+            assert raised(order.check_partial_order) == expected, (n, toggled)
+            seen.add(expected.split(" at ")[0].split(" above ")[0] if expected else "")
+    assert seen == {
+        "",
+        "0 is not below every element",
+        "order not reflexive",
+        "order not antisymmetric",
+        "order not transitive",
+    }
+
+
+def test_existence_criterion_matches_the_sweep_on_corrupted_supplements():
+    """The true supplement maps, the two exchanged, and each with one entry
+    overwritten (carriers up to 10 elements)."""
+    outcomes = set()
+    for g in POOL + [kite.algebra for kite in map(build_kite, (s for _, s in KITES))]:
+        n = g.size
+        if g.flags.has_unit:
+            views = [(list(g.pea.right_supp), list(g.pea.left_supp))]
+        else:
+            views = [(list(range(n)), list(range(n)))]
+        rs, ls = views[0]
+        views.append((ls, rs))
+        for x, v in itertools.product(range(n if n <= 10 else 0), repeat=2):
+            views.append((rs[:x] + [v] + rs[x + 1 :], ls))
+            views.append((rs, ls[:x] + [v] + ls[x + 1 :]))
+        for rs, ls in views:
+            expected = le_existence_criterion(g, rs, ls)
+            assert _existence_criterion(g, rs, ls) == expected, (g, rs, ls)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_unitization_clauses_match_the_value_loop_on_corrupted_extensions():
+    """Extensions stored with another unitizing twist, or with two elements
+    swapped: where the loop raises, construction raises the same message;
+    where it passes, construction fails, if at all, at a later check."""
+    clause_failures = 0
+    clauses = ("restriction", "absorption", "mirror elements")
+    for g in ENUMERATED:
+        n = g.size
+        twists = enumerate_unitizing(g)
+        for gamma in twists:
+            u = gamma_unitize(g, gamma).algebra
+            cases = [(other, u) for other in twists]
+            for x, y in itertools.combinations(range(1, 2 * n), 2):
+                perm = list(range(2 * n))
+                perm[x], perm[y] = y, x
+                cases.append((gamma, u.relabel(perm)))
+            for stored, table in cases:
+                expected = raised(lambda: value_unitization_clauses(g, stored, table))
+                got = raised(lambda: UnitizationAlgebra(g, stored, table))
+                if expected is not None:
+                    clause_failures += 1
+                    assert got == expected, (g, stored, table)
+                else:
+                    assert got is None or not any(c in got for c in clauses), got
+    assert clause_failures > 0

@@ -7,8 +7,11 @@ import math
 
 import pytest
 
+import gpea.kites
 from gpea import (
     BudgetExceededError,
+    ConnectivityReport,
+    InvariantViolation,
     KiteSpec,
     MalformedTableError,
     boolean,
@@ -25,6 +28,11 @@ from gpea import (
     power_gpea,
     smallest_normal_riesz_ideal,
 )
+from gpea.core import element_budget
+from gpea.ideals import classify_subset, least_ideal, normal_riesz_ideals
+from gpea.kites import _kite_gamma_on
+from gpea.rdp import rdp_profile
+from gpea.verify import run_verify
 
 
 def identity(k: int) -> tuple[int, ...]:
@@ -383,3 +391,190 @@ def test_connectivity_smallest_ideals_match_direct_computation(height, max_index
                 checked += 1
     # Over a chain the transfer condition holds exactly on the diagonal lam == rho.
     assert checked == sum(math.factorial(k) for k in range(1, max_index + 1))
+
+
+# ---------------------------------------------------------------------------
+# The kite scope of verify: shared work, carried results
+# ---------------------------------------------------------------------------
+
+
+def reference_index_connectivity(spec: KiteSpec) -> ConnectivityReport:
+    """``index_connectivity`` as it was before verify shared its work:
+    every spec builds its own power and kite and computes the refinement
+    property and the normal Riesz ideals on that kite."""
+    sigma = spec.twist_indices
+    seen: set[int] = set()
+    components: list[frozenset[int]] = []
+    for start in range(spec.index_size):
+        if start in seen:
+            continue
+        orbit = {start}
+        cursor = sigma[start]
+        while cursor not in orbit:
+            orbit.add(cursor)
+            cursor = sigma[cursor]
+        seen |= orbit
+        components.append(frozenset(orbit))
+    components.sort(key=min)
+
+    power = power_gpea(spec.base, spec.index_size)
+    gamma = _kite_gamma_on(power, spec)
+    supported = []
+    for comp in components:
+        members = frozenset(
+            t
+            for t, tup in enumerate(power.tuples)
+            if all(x == 0 for i, x in enumerate(tup) if i not in comp)
+        )
+        supported.append(members)
+    pairs = 0
+    for a in range(len(components)):
+        for b in range(a + 1, len(components)):
+            for members in (supported[a], supported[b]):
+                flags = classify_subset(power.algebra, members, gamma)
+                if not (flags.ideal and flags.normal and flags.gamma_closed):
+                    raise InvariantViolation(
+                        "component support is not a twist-closed normal ideal"
+                    )
+            if supported[a] & supported[b] != {0}:
+                raise InvariantViolation(
+                    "supports of distinct components must meet only in zero"
+                )
+            pairs += 1
+
+    connected = len(components) == 1
+    kite_rdp1: bool | None = None
+    smallest: frozenset[int] | None = None
+    smallest_proper: frozenset[int] | None = None
+    implication_checked = False
+    if check_kc(spec).kci and 2 * power.algebra.size <= element_budget():
+        kite = build_kite(spec)
+        kite_rdp1 = rdp_profile(kite.algebra).rdp1
+        family = normal_riesz_ideals(kite.algebra)
+        smallest = least_ideal(family)
+        smallest_proper = least_ideal(
+            [members for members in family if len(members) != kite.algebra.size]
+        )
+        if spec.base.flags.upward_directed and kite_rdp1:
+            implication_checked = True
+            if smallest is not None and not connected:
+                raise InvariantViolation(
+                    "kite has a smallest nontrivial normal Riesz ideal "
+                    "but the index set is disconnected"
+                )
+    return ConnectivityReport(
+        components=tuple(components),
+        connected=connected,
+        pairs_verified=pairs,
+        kite_rdp1=kite_rdp1,
+        kite_smallest=smallest,
+        kite_smallest_proper=smallest_proper,
+        implication_checked=implication_checked,
+    )
+
+
+def verify_grid() -> list[KiteSpec]:
+    """Every spec of verify's kite grid, buildable or not."""
+    specs = []
+    for height in (1, 2):
+        for k in (1, 2, 3):
+            perms = list(itertools.permutations(range(k)))
+            for lam, rho in itertools.product(perms, repeat=2):
+                specs.append(KiteSpec(base=chain(height), index_size=k, lam=lam, rho=rho))
+    return specs
+
+
+def spec_key(spec: KiteSpec) -> tuple:
+    return spec.base.size, spec.index_size, spec.lam, spec.rho
+
+
+def test_verify_kite_scope_carries_exact_results(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Each spec's report, isomorphism and carried ideal family, as verify
+    computes them, against a per-spec recomputation on the spec's own kite.
+
+    No grid kite has a smallest normal Riesz ideal, so equal reports alone
+    would not notice a family copied from the extension instead of mapped
+    through the isomorphism; the family comparison does.
+    """
+    reports: dict[tuple, tuple] = {}
+    isos: dict[tuple, tuple] = {}
+    connectivity_report = gpea.kites._connectivity_report
+    iso_report = gpea.kites._iso_report
+
+    def record_connectivity(spec, power, gamma, refinement):
+        report = connectivity_report(spec, power, gamma, refinement)
+        assert spec_key(spec) not in reports
+        reports[spec_key(spec)] = (report, refinement)
+        return report
+
+    def record_iso(kite, extension):
+        report = iso_report(kite, extension)
+        assert spec_key(kite.spec) not in isos
+        isos[spec_key(kite.spec)] = (report.phi, report.searched_exhaustively)
+        return report
+
+    monkeypatch.setattr(gpea.kites, "_connectivity_report", record_connectivity)
+    monkeypatch.setattr(gpea.kites, "_iso_report", record_iso)
+    assert run_verify("kite", 2).passed
+    monkeypatch.undo()
+
+    grid = verify_grid()
+    assert len(grid) == 82 and len(reports) == 82
+    buildable = 0
+    for spec in grid:
+        report, refinement = reports[spec_key(spec)]
+        assert report == reference_index_connectivity(spec), spec
+        if not check_kc(spec).kci:
+            assert refinement is None and spec_key(spec) not in isos
+            continue
+        buildable += 1
+        kite = build_kite(spec).algebra
+        rdp1, family = refinement
+        assert rdp1 == rdp_profile(kite).rdp1
+        assert len(family) == len(set(family))
+        assert set(family) == set(normal_riesz_ideals(kite)), spec
+        expected = kite_iso(spec)
+        assert isos[spec_key(spec)] == (expected.phi, expected.searched_exhaustively)
+    assert buildable == len(isos) == 18
+
+
+def test_public_connectivity_matches_the_per_spec_reference() -> None:
+    for spec in verify_grid():
+        assert index_connectivity(spec) == reference_index_connectivity(spec), spec
+
+
+def test_verify_kite_scope_builds_each_shared_algebra_once(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """One power per (base, index size), one kite per buildable spec, one
+    unit extension with one RDP and one ideal sweep per distinct twist
+    (every buildable grid spec has the identity twist), one unitizing
+    check per spec."""
+    counts: dict[str, int] = {}
+
+    def counted(name: str, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = (
+        "power_gpea",
+        "_paste",
+        "gamma_unitize",
+        "rdp_profile",
+        "normal_riesz_ideals",
+        "is_unitizing",
+    )
+    for name in names:
+        monkeypatch.setattr(gpea.kites, name, counted(name, getattr(gpea.kites, name)))
+    run_verify("kite", 2)
+    assert counts == {
+        "power_gpea": 6,
+        "_paste": 18,
+        "gamma_unitize": 6,
+        "rdp_profile": 6,
+        "normal_riesz_ideals": 6,
+        "is_unitizing": 82,
+    }
