@@ -44,11 +44,11 @@ from .ideals import (
     NotEquivalenceError,
     classify_subset,
     enumerate_ideals,
+    least_ideal,
     quotient,
     sim_from_ideal,
-    smallest_normal_riesz_ideal,
 )
-from .kites import KiteSpec, _kite_connectivity, build_kite, check_kc
+from .kites import KiteSpec, _KitePower, check_kc
 from .rdp import rdp_profile
 from .unitization import enumerate_unitizing, gamma_unitize
 from .verify import DEFAULT_ENUMERATION_BUDGET, SCOPES, run_verify
@@ -153,6 +153,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
     g = _load_valid(args.file)
     gamma = _parse_permutation(args.gamma) if args.gamma else None
     count = 0
+    family = []  # under --riesz, filtered as normal_riesz_ideals filters it
     for members in enumerate_ideals(g):
         flags = classify_subset(g, members, gamma)
         if args.normal and not flags.normal:
@@ -162,11 +163,15 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
         count += 1
         text = " ".join(f"{k}={str(v).lower()}" for k, v in flags.items() if v is not None)
         print(f"IDEAL {_subset_text(members)} {text}")
+        if (
+            members != frozenset({0})
+            and (gamma is None or flags.gamma_closed)
+            and not (args.exclude_improper and len(members) == g.size)
+        ):
+            family.append(members)
     print(f"RESULT count={count}")
     if args.riesz:
-        smallest = smallest_normal_riesz_ideal(
-            g, gamma, include_improper=not args.exclude_improper
-        )
+        smallest = least_ideal(family)
         value = "none" if smallest is None else _subset_text(smallest)
         print(f"RESULT smallest={value}")
     return 0
@@ -224,8 +229,9 @@ def _cmd_kite(args: argparse.Namespace) -> int:
     rho = _parse_permutation(args.rho)
     spec = KiteSpec(base, args.index, lam, rho)
     kc = check_kc(spec)
-    built = build_kite(spec)
-    connectivity = _kite_connectivity(built)
+    kites = _KitePower(base, args.index)
+    built = kites.build_kite(spec)
+    connectivity = kites.index_connectivity(spec)
     summary = [
         f"RESULT kci={str(kc.kci).lower()}",
         f"RESULT kcii={str(kc.kcii).lower()}",

@@ -29,13 +29,19 @@ isomorphic to the resulting unit extension by a unique isomorphism
 fixing every tuple, and the supplement maps on the kite are given by
 reindexing: ``(a_i)⁻ = (η a_{rho(i)})``, ``(a_i)~ = (η a_{lam(i)})``,
 ``(η a_i)⁻ = (a_{lam⁻¹(i)})``, ``(η a_i)~ = (a_{rho⁻¹(i)})``.
+
+Every entry point runs on one ``_KitePower`` per (base, index size),
+which does each piece of work once per twist or per spec, and carries
+the RDP₁ verdict and normal Riesz ideals of a twist's first kite to its
+other kites through two such isomorphisms, both checked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -202,27 +208,7 @@ def kite_gamma(spec: KiteSpec) -> tuple[int, ...]:
     unitizing automorphism of the power exactly when the first transfer
     condition holds.
     """
-    power = power_gpea(spec.base, spec.index_size)
-    return _kite_gamma_on(power, spec)
-
-
-def _kite_gamma_on(power: PowerGpea, spec: KiteSpec) -> tuple[int, ...]:
-    gamma, unitizing = _twist_on(power, spec)
-    _require_transfer(spec, unitizing)
-    return gamma
-
-
-def _twist_on(power: PowerGpea, spec: KiteSpec) -> tuple[tuple[int, ...], bool]:
-    """The twist's reindexing permutation of the power, and whether it is unitizing."""
-    gamma = power.reindexing_permutation(spec.twist_indices)
-    return gamma, is_unitizing(power.algebra, gamma)
-
-
-def _require_transfer(spec: KiteSpec, unitizing: bool) -> None:
-    if unitizing != check_kc(spec).kci:
-        raise InvariantViolation(
-            "twist permutation is unitizing exactly when the transfer condition holds"
-        )
+    return _KitePower(spec.base, spec.index_size).kite_gamma(spec)
 
 
 @dataclass(frozen=True)
@@ -253,21 +239,7 @@ class KiteAlgebra:
 
 def build_kite(spec: KiteSpec) -> KiteAlgebra:
     """Construct the kite table from the four clauses and validate it."""
-    _require_pastable(spec)
-    power = power_gpea(spec.base, spec.index_size)
-    return _paste(spec, power, _kite_gamma_on(power, spec))
-
-
-def _require_pastable(spec: KiteSpec) -> None:
-    if not check_kc(spec).kci:
-        raise MalformedTableError(
-            "kite construction requires the transfer condition on (rho, lam)"
-        )
-    m = spec.base.size**spec.index_size
-    if 2 * m > element_budget():
-        raise BudgetExceededError(
-            f"kite carrier of {2 * m} elements exceeds the budget of {element_budget()}"
-        )
+    return _KitePower(spec.base, spec.index_size).build_kite(spec)
 
 
 def _paste(spec: KiteSpec, power: PowerGpea, gamma: tuple[int, ...]) -> KiteAlgebra:
@@ -351,13 +323,9 @@ def kite_iso(spec: KiteSpec) -> KiteIsoReport:
     """Build both sides, exhibit the canonical isomorphism, verify its laws.
 
     A single call builds the power, the kite and the unit extension once
-    each.  ``verify`` shares the power and the extension between the specs
-    of one (base, index size) instead, through the same report function:
-    the extension depends only on the power and the twist permutation,
-    and every check below runs on each spec's own kite.
+    each.
     """
-    kite = build_kite(spec)
-    return _iso_report(kite, gamma_unitize(kite.power.algebra, kite.gamma))
+    return _KitePower(spec.base, spec.index_size).kite_iso(spec)
 
 
 def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoReport:
@@ -453,42 +421,20 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     """Partition the index set into twist orbits and verify the consequences.
 
     A single call builds the power and, when the transfer condition holds
-    within budget, the kite once, and computes the kite's refinement
-    property and normal Riesz ideals on the kite itself.  ``verify``
-    computes both once per twist on the unit extension instead and hands
-    them to the same report function, carried through the isomorphism
-    that :func:`kite_iso` has checked for that spec: RDP₁ is invariant
-    under isomorphism, and each ideal is mapped element by element.
+    within budget, the kite, and computes the kite's refinement property
+    and normal Riesz ideals on the kite itself; it builds no unit
+    extension.
     """
-    power = power_gpea(spec.base, spec.index_size)
-    gamma = _kite_gamma_on(power, spec)
-    if _reports_on_kite(spec, power):
-        return _kite_connectivity(_paste(spec, power, gamma))
-    return _connectivity_report(spec, power, gamma, None)
+    return _KitePower(spec.base, spec.index_size).index_connectivity(spec)
 
 
-def _reports_on_kite(spec: KiteSpec, power: PowerGpea) -> bool:
-    """Whether the connectivity report covers the kite: it exists within budget."""
-    return check_kc(spec).kci and 2 * power.algebra.size <= element_budget()
+def _orbits(
+    spec: KiteSpec, power: PowerGpea, gamma: tuple[int, ...]
+) -> tuple[tuple[frozenset[int], ...], int]:
+    """The twist's orbits sorted by least index, and the pairs checked.
 
-
-def _kite_connectivity(kite: KiteAlgebra) -> ConnectivityReport:
-    """The connectivity report of a built kite, from its own ideals."""
-    g = kite.algebra
-    refinement = (rdp_profile(g).rdp1, normal_riesz_ideals(g))
-    return _connectivity_report(kite.spec, kite.power, kite.gamma, refinement)
-
-
-def _connectivity_report(
-    spec: KiteSpec,
-    power: PowerGpea,
-    gamma: tuple[int, ...],
-    refinement: tuple[bool, Sequence[frozenset[int]]] | None,
-) -> ConnectivityReport:
-    """Check the component ideals and assemble the report.
-
-    ``refinement`` is the kite's RDP₁ verdict and its nontrivial normal
-    Riesz ideals, or ``None`` when no kite is built.
+    For every pair of distinct orbits, the tuples supported on each must
+    form twist-closed normal ideals of the power meeting only in zero.
     """
     sigma = spec.twist_indices
     seen: set[int] = set()
@@ -527,7 +473,20 @@ def _connectivity_report(
                     "supports of distinct components must meet only in zero"
                 )
             pairs += 1
+    return tuple(components), pairs
 
+
+def _connectivity_report(
+    spec: KiteSpec,
+    orbits: tuple[tuple[frozenset[int], ...], int],
+    refinement: tuple[bool, Sequence[frozenset[int]]] | None,
+) -> ConnectivityReport:
+    """Assemble the report from the checked orbits.
+
+    ``refinement`` is the kite's RDP₁ verdict and its nontrivial normal
+    Riesz ideals, or ``None`` when no kite is built.
+    """
+    components, pairs = orbits
     connected = len(components) == 1
     kite_rdp1: bool | None = None
     smallest: frozenset[int] | None = None
@@ -536,7 +495,7 @@ def _connectivity_report(
     if refinement is not None:
         kite_rdp1, family = refinement
         smallest = least_ideal(family)
-        kite_size = 2 * power.algebra.size
+        kite_size = 2 * spec.base.size**spec.index_size
         smallest_proper = least_ideal(
             [members for members in family if len(members) != kite_size]
         )
@@ -548,7 +507,7 @@ def _connectivity_report(
                     "but the index set is disconnected"
                 )
     return ConnectivityReport(
-        components=tuple(components),
+        components=components,
         connected=connected,
         pairs_verified=pairs,
         kite_rdp1=kite_rdp1,
@@ -558,69 +517,101 @@ def _connectivity_report(
     )
 
 
-class _SharedPower:
-    """One power of one base, with what the kites over it share.
+class _KitePower:
+    """The power of one base at one index size, and the kites over it.
 
-    A run over many specs of the same (base, index size) builds the power
-    once, and per distinct twist permutation the unit extension and its
-    RDP₁ verdict and normal Riesz ideals once.  Each spec still gets its
-    own kite and the full :func:`kite_iso` checks; its connectivity report
-    takes the extension's verdict unchanged and the extension's ideals
-    mapped through the spec's checked isomorphism.  Nothing is cached
-    anywhere else: a caller keeps one object per (base, index size) and
-    drops it before making the next.
+    Every kite entry point runs through one of these: the public
+    functions make a fresh one per call, while ``verify`` and ``gpea
+    kite`` keep one for all their specs of a (base, index size).  Each
+    piece of work is done once:
+
+    * per twist (``spec.twist_indices``): the reindexing permutation and
+      its unitizing verdict, the orbits with their support check, and the
+      unit extension when a :meth:`kite_iso` needs it;
+    * per spec: the kite and its :class:`KiteIsoReport`;
+    * per twist, on the first kite of that twist whose connectivity is
+      asked for: the RDP₁ verdict and the normal Riesz ideals.  A later
+      kite of the twist takes the verdict unchanged and the ideals mapped
+      through ``φ_spec ∘ φ_first⁻¹``.  Both maps are isomorphisms from
+      the twist's unit extension onto a kite, checked by
+      :meth:`kite_iso`, so the composite is an isomorphism from the first
+      kite onto the later one; RDP₁ is invariant under it and it maps the
+      first kite's normal Riesz ideals exactly onto the later kite's.
+
+    The methods are the module functions of the same names, for specs over
+    this base and index size.  The power is built on first use, so every
+    refusal of a spec comes before it.  The memos live on the object and
+    nowhere else.
     """
 
     def __init__(self, base: FiniteGpea, k: int):
-        self.power = power_gpea(base, k)
-        self._extensions: dict[tuple[int, ...], UnitizationAlgebra] = {}
-        self._refinements: dict[tuple[int, ...], tuple[bool, list[frozenset[int]]]] = {}
+        self.base = base
+        self.k = k
+        self._memo: dict[tuple, Any] = {}
+
+    @functools.cached_property
+    def power(self) -> PowerGpea:
+        return power_gpea(self.base, self.k)
+
+    def _once(self, key: tuple, make: Callable[[], Any]) -> Any:
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def twist(self, spec: KiteSpec) -> tuple[tuple[int, ...], bool]:
-        """The spec's reindexing permutation and whether it is unitizing."""
-        return _twist_on(self.power, spec)
+        """The twist's reindexing permutation, and whether it is unitizing."""
+        key = ("twist", spec.twist_indices)
+        if key not in self._memo:
+            gamma = self.power.reindexing_permutation(spec.twist_indices)
+            self._memo[key] = gamma, is_unitizing(self.power.algebra, gamma)
+        return self._memo[key]
 
-    def kite_iso(self, spec: KiteSpec, gamma: tuple[int, ...], unitizing: bool) -> KiteIsoReport:
-        """:func:`kite_iso` of ``spec``, over the shared power and extension."""
-        _require_pastable(spec)
-        _require_transfer(spec, unitizing)
-        kite = _paste(spec, self.power, gamma)
-        extension = self._extensions.get(gamma)
-        if extension is None:
-            extension = self._extensions[gamma] = gamma_unitize(self.power.algebra, gamma)
-        return _iso_report(kite, extension)
-
-    def index_connectivity(
-        self,
-        spec: KiteSpec,
-        gamma: tuple[int, ...],
-        unitizing: bool,
-        iso: KiteIsoReport | None,
-    ) -> ConnectivityReport:
-        """:func:`index_connectivity` of ``spec``, given its checked ``iso``.
-
-        ``iso`` is ``None`` when the isomorphism check failed or was not
-        run; a spec whose kite would be built then fails here.
-        """
-        _require_transfer(spec, unitizing)
-        refinement = None
-        if _reports_on_kite(spec, self.power):
-            if iso is None:
-                raise InvariantViolation(
-                    "no checked isomorphism to carry the kite's ideals through"
-                )
-            rdp1, family = self._refinement(iso.extension.algebra, gamma)
-            phi = iso.phi
-            refinement = (rdp1, [frozenset(phi[x] for x in members) for members in family])
-        return _connectivity_report(spec, self.power, gamma, refinement)
-
-    def _refinement(
-        self, extension: FiniteGpea, gamma: tuple[int, ...]
-    ) -> tuple[bool, list[frozenset[int]]]:
-        found = self._refinements.get(gamma)
-        if found is None:
-            found = self._refinements[gamma] = (
-                rdp_profile(extension).rdp1,
-                normal_riesz_ideals(extension),
+    def kite_gamma(self, spec: KiteSpec) -> tuple[int, ...]:
+        gamma, unitizing = self.twist(spec)
+        if unitizing != check_kc(spec).kci:
+            raise InvariantViolation(
+                "twist permutation is unitizing exactly when the transfer condition holds"
             )
-        return found
+        return gamma
+
+    def build_kite(self, spec: KiteSpec) -> KiteAlgebra:
+        if not check_kc(spec).kci:
+            raise MalformedTableError(
+                "kite construction requires the transfer condition on (rho, lam)"
+            )
+        size = 2 * spec.base.size**spec.index_size
+        if size > element_budget():
+            raise BudgetExceededError(
+                f"kite carrier of {size} elements exceeds the budget of {element_budget()}"
+            )
+        return self._once(
+            ("kite", spec.lam, spec.rho),
+            lambda: _paste(spec, self.power, self.kite_gamma(spec)),
+        )
+
+    def kite_iso(self, spec: KiteSpec) -> KiteIsoReport:
+        kite = self.build_kite(spec)
+        extension = self._once(
+            ("extension", spec.twist_indices),
+            lambda: gamma_unitize(self.power.algebra, kite.gamma),
+        )
+        return self._once(
+            ("iso", spec.lam, spec.rho), lambda: _iso_report(kite, extension)
+        )
+
+    def index_connectivity(self, spec: KiteSpec) -> ConnectivityReport:
+        gamma = self.kite_gamma(spec)
+        sigma = spec.twist_indices
+        orbits = self._once(("orbits", sigma), lambda: _orbits(spec, self.power, gamma))
+        if not check_kc(spec).kci or 2 * self.power.algebra.size > element_budget():
+            return _connectivity_report(spec, orbits, None)
+        first = self._memo.setdefault(("first kite", sigma), spec)
+        g = self.build_kite(first).algebra
+        rdp1, family = self._once(
+            ("refinement", sigma), lambda: (rdp_profile(g).rdp1, normal_riesz_ideals(g))
+        )
+        if (first.lam, first.rho) != (spec.lam, spec.rho):
+            to_spec = self.kite_iso(spec).phi
+            carry = [to_spec[x] for x in _inverse(self.kite_iso(first).phi)]
+            family = [frozenset(carry[x] for x in members) for members in family]
+        return _connectivity_report(spec, orbits, (rdp1, family))

@@ -654,8 +654,11 @@ def quotient_unitization(
     twist must be a unitizing automorphism of the quotient, and the unit
     extension of the quotient must be isomorphic — by a unit-preserving
     isomorphism restricting to the identity on the quotient — to the
-    quotient of the extension by the lifted congruence.  With the fixed
-    element layouts the two tables are expected to coincide outright.
+    quotient of the extension by the lifted congruence.  Such an
+    isomorphism must send the mirror block ``k + i`` to the unique ``y``
+    with ``i + y`` the unit, and in the quotient of the extension that is
+    ``k + i`` itself (``x + η(x) = η(0)``, and blocks are ordered by least
+    element), so it exists exactly when the two tables coincide.
     """
     g, u, gamma = ua.base, ua.algebra, ua.gamma
     base_flags = classify_relation(g, rel, gamma=gamma)
@@ -683,24 +686,14 @@ def quotient_unitization(
         )
     rebuilt = gamma_unitize(q, twist)
     star = extend_congruence(ua, rel)
-    star_flags = classify_relation(u, star)
-    if not (star_flags.congruence and star_flags.c4 and star_flags.c5):
+    try:
+        lifted = quotient(u, star)
+    except MalformedTableError:  # not a congruence with C4 and C5
         return QuotientUnitizationVerdict(
             False, twist, "lifted relation does not admit a quotient"
         )
-    lifted = quotient(u, star)
     if rebuilt.algebra.same_table(lifted):
         return QuotientUnitizationVerdict(True, twist, "tables coincide")
-    k = len(rel.blocks)
-    matches = [
-        phi
-        for phi in find_morphisms(rebuilt.algebra, lifted, "pea_iso")
-        if all(phi[i] == i for i in range(k))
-    ]
-    if matches:
-        return QuotientUnitizationVerdict(
-            True, twist, "isomorphic with a nontrivial mirror matching"
-        )
     return QuotientUnitizationVerdict(
         False, twist, "no unit-preserving isomorphism fixes the quotient"
     )

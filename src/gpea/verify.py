@@ -42,7 +42,7 @@ from .ideals import (
     riesz_congruence_roundtrip,
     sim_from_ideal,
 )
-from .kites import KiteSpec, _SharedPower, check_kc
+from .kites import KiteSpec, _KitePower, check_kc
 from .rdp import rdp_profile, rdp_transfer
 from .unitization import (
     UnitizationAlgebra,
@@ -519,16 +519,17 @@ def _verify_kite(tallies: _Tallies, notes: list[str]) -> None:
       supplement maps follow the reindexing formulas with the double
       left supplement equal to the twist.
 
-    Work is shared within one (base, index size) and nothing else: the
-    power is built once, each spec's reindexing permutation and its
-    unitizing verdict are computed once, each buildable kite is built
-    once, and per distinct twist permutation the unit extension, its
-    RDP₁ verdict and its normal Riesz ideals are computed once.  This is
-    exact.  Every spec's kite gets the full isomorphism check, and its
-    connectivity report takes the extension's RDP₁ verdict, an
-    isomorphism invariant, and the extension's ideals mapped element by
-    element through the isomorphism just checked for that spec.  A spec
-    whose isomorphism check fails fails ``kite_component_ideals`` too.
+    Work is shared within one (base, index size) and nothing else, by one
+    ``kites._KitePower``: one power; per twist one reindexing permutation,
+    unitizing verdict, orbit support check and unit extension; one kite
+    and isomorphism check per buildable spec; and per twist one RDP₁
+    verdict and normal Riesz ideal sweep, on the twist's first kite.
+    This is exact: every later kite of the twist takes that RDP₁ verdict,
+    an isomorphism invariant, and those ideals mapped through
+    ``φ_spec ∘ φ_first⁻¹``, the composite of the two isomorphisms from the
+    unit extension that ``kite_extension_isomorphism`` checks.  So a
+    carried spec fails ``kite_component_ideals`` too when its own or the
+    first kite's isomorphism check fails; a twist's first kite does not.
     """
     for base_name, height in _KITE_BASES:
         for k in range(1, _KITE_MAX_INDEX + 1):
@@ -539,21 +540,20 @@ def _verify_kite_power(
     tallies: _Tallies, base_name: str, base: FiniteGpea, k: int
 ) -> None:
     """Every (lam, rho) pair over one power; what they share dies on return."""
-    shared = _SharedPower(base, k)
+    kites = _KitePower(base, k)
     perms = list(itertools.permutations(range(k)))
     for lam in perms:
         for rho in perms:
             spec = KiteSpec(base, k, lam, rho)
             label = f"{base_name}:k={k}:lam={lam}:rho={rho}"
             kci = check_kc(spec).kci
-            gamma, unitizing = shared.twist(spec)
+            _, unitizing = kites.twist(spec)
             tallies["kite_transfer_characterization"].check(
                 f"{label}: kci={kci}", unitizing == kci
             )
-            iso = None
             if kci:
                 try:
-                    iso = shared.kite_iso(spec, gamma, unitizing)
+                    kites.kite_iso(spec)
                 except AlgebraError as exc:
                     tallies["kite_axioms"].check(f"{label}: {exc}", False)
                     tallies["kite_extension_isomorphism"].check(
@@ -563,7 +563,7 @@ def _verify_kite_power(
                     tallies["kite_axioms"].check(label, True)
                     tallies["kite_extension_isomorphism"].check(label, True)
             try:
-                shared.index_connectivity(spec, gamma, unitizing, iso)
+                kites.index_connectivity(spec)
             except AlgebraError as exc:
                 tallies["kite_component_ideals"].check(f"{label}: {exc}", False)
             else:

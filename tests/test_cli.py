@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import gpea
+import gpea.ideals
 from gpea import fig1, gamma_unitize, parse, serialize
 from gpea.cli import run
+from gpea.ideals import enumerate_ideals
 
 
 def invoke(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -140,6 +142,29 @@ def test_ideals_smallest_depends_on_improper_reading(capsys):
     )
     assert code == 0
     assert "RESULT smallest=none" in out
+
+
+def test_ideals_smallest_counts_only_the_filtered_family(capsys, monkeypatch):
+    sweeps = []
+
+    def counted(g):
+        sweeps.append(g.size)
+        return enumerate_ideals(g)
+
+    monkeypatch.setattr(gpea.cli, "enumerate_ideals", counted)
+    monkeypatch.setattr(gpea.ideals, "enumerate_ideals", counted)
+    argv = ["ideals", "boolean(2)", "--riesz"]
+    code, out, _ = invoke(capsys, [*argv, "--gamma", "0,2,1,3"])
+    assert code == 0
+    # {0,1} and {0,2} are printed but are not closed under the twist.
+    assert "IDEAL {0,1} " in out and "IDEAL {0,2} " in out
+    assert "RESULT count=4" in out
+    assert "RESULT smallest={0,1,2,3}" in out
+    code, out, _ = invoke(capsys, [*argv, "--gamma", "0,2,1,3", "--exclude-improper"])
+    assert "RESULT smallest=none" in out
+    code, out, _ = invoke(capsys, argv)
+    assert "RESULT smallest=none" in out
+    assert sweeps == [4, 4, 4]
 
 
 def test_ideals_unfiltered_counts_all(capsys):

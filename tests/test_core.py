@@ -22,6 +22,7 @@ from gpea import (
     element_budget,
     fig1,
     find_morphisms,
+    gamma_unitize,
     induced_order,
     is_isomorphism,
     pea_view,
@@ -293,6 +294,16 @@ def test_morphism_modes():
         find_morphisms(chain(1), chain(1), "mono")
     with pytest.raises(NoUnitError):
         find_morphisms(fig1(), fig1(), "pea_iso")
+
+
+def test_pea_iso_mode_finds_unit_preserving_isomorphisms():
+    found = find_morphisms(boolean(2), boolean(2), "pea_iso")
+    assert found == [(0, 1, 2, 3), (0, 2, 1, 3)]
+    assert find_morphisms(chain(3), boolean(2), "pea_iso") == []
+    u = gamma_unitize(boolean(2), (0, 1, 2, 3)).algebra
+    found = find_morphisms(u, u, "pea_iso")
+    assert len(found) == 6 and all(phi[4] == 4 for phi in found)
+    assert found == find_morphisms(u, u, "auto")
 
 
 # --------------------------------------------------------------------- budget

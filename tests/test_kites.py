@@ -28,9 +28,9 @@ from gpea import (
     power_gpea,
     smallest_normal_riesz_ideal,
 )
+from gpea.cli import run as cli_run
 from gpea.core import element_budget
 from gpea.ideals import classify_subset, least_ideal, normal_riesz_ideals
-from gpea.kites import _kite_gamma_on
 from gpea.rdp import rdp_profile
 from gpea.verify import run_verify
 
@@ -418,7 +418,11 @@ def reference_index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     components.sort(key=min)
 
     power = power_gpea(spec.base, spec.index_size)
-    gamma = _kite_gamma_on(power, spec)
+    gamma = power.reindexing_permutation(sigma)
+    if is_unitizing(power.algebra, gamma) != check_kc(spec).kci:
+        raise InvariantViolation(
+            "twist permutation is unitizing exactly when the transfer condition holds"
+        )
     supported = []
     for comp in components:
         members = frozenset(
@@ -493,16 +497,16 @@ def test_verify_kite_scope_carries_exact_results(monkeypatch: pytest.MonkeyPatch
     computes them, against a per-spec recomputation on the spec's own kite.
 
     No grid kite has a smallest normal Riesz ideal, so equal reports alone
-    would not notice a family copied from the extension instead of mapped
-    through the isomorphism; the family comparison does.
+    would not notice a family copied from the twist's first kite instead of
+    mapped through the two isomorphisms; the family comparison does.
     """
     reports: dict[tuple, tuple] = {}
     isos: dict[tuple, tuple] = {}
     connectivity_report = gpea.kites._connectivity_report
     iso_report = gpea.kites._iso_report
 
-    def record_connectivity(spec, power, gamma, refinement):
-        report = connectivity_report(spec, power, gamma, refinement)
+    def record_connectivity(spec, orbits, refinement):
+        report = connectivity_report(spec, orbits, refinement)
         assert spec_key(spec) not in reports
         reports[spec_key(spec)] = (report, refinement)
         return report
@@ -538,37 +542,71 @@ def test_verify_kite_scope_carries_exact_results(monkeypatch: pytest.MonkeyPatch
     assert buildable == len(isos) == 18
 
 
+def test_carried_ideals_undo_the_first_kites_isomorphism(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """On verify's grid every twist's first kite has ``lam`` the identity,
+    so its isomorphism is the identity too.  With the swap spec first, the
+    identity spec's ideals are carried through ``φ_id ∘ φ_swap⁻¹`` and must
+    still be that kite's own."""
+    families = {}
+    connectivity_report = gpea.kites._connectivity_report
+
+    def record(spec, orbits, refinement):
+        families[spec.lam] = refinement[1]
+        return connectivity_report(spec, orbits, refinement)
+
+    monkeypatch.setattr(gpea.kites, "_connectivity_report", record)
+    base = chain(1)
+    kites = gpea.kites._KitePower(base, 2)
+    for lam in ((1, 0), (0, 1)):
+        spec = KiteSpec(base=base, index_size=2, lam=lam, rho=lam)
+        assert kites.index_connectivity(spec) == reference_index_connectivity(spec)
+        assert set(families[lam]) == set(normal_riesz_ideals(build_kite(spec).algebra))
+    assert set(families[(1, 0)]) != set(families[(0, 1)])
+
+
 def test_public_connectivity_matches_the_per_spec_reference() -> None:
     for spec in verify_grid():
         assert index_connectivity(spec) == reference_index_connectivity(spec), spec
 
 
-def test_verify_kite_scope_builds_each_shared_algebra_once(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """One power per (base, index size), one kite per buildable spec, one
-    unit extension with one RDP and one ideal sweep per distinct twist
-    (every buildable grid spec has the identity twist), one unitizing
-    check per spec."""
-    counts: dict[str, int] = {}
+def count_kite_work(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
+    """Count, from now on, the calls the kites module makes to its workers."""
+    counts = dict.fromkeys(
+        (
+            "power_gpea",
+            "_paste",
+            "gamma_unitize",
+            "rdp_profile",
+            "normal_riesz_ideals",
+            "is_unitizing",
+            "classify_subset",
+        ),
+        0,
+    )
 
     def counted(name: str, fn):
         def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
+            counts[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    names = (
-        "power_gpea",
-        "_paste",
-        "gamma_unitize",
-        "rdp_profile",
-        "normal_riesz_ideals",
-        "is_unitizing",
-    )
-    for name in names:
+    for name in counts:
         monkeypatch.setattr(gpea.kites, name, counted(name, getattr(gpea.kites, name)))
+    return counts
+
+
+def test_verify_kite_scope_builds_each_shared_algebra_once(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """One power per (base, index size), one kite per buildable spec, and
+    per distinct twist (18 on the grid; every buildable grid spec has the
+    identity twist) one unitizing check, one orbit support check, and, when
+    the twist has kites, one unit extension with one RDP and one ideal
+    sweep."""
+    counts = count_kite_work(monkeypatch)
     run_verify("kite", 2)
     assert counts == {
         "power_gpea": 6,
@@ -576,5 +614,42 @@ def test_verify_kite_scope_builds_each_shared_algebra_once(
         "gamma_unitize": 6,
         "rdp_profile": 6,
         "normal_riesz_ideals": 6,
-        "is_unitizing": 82,
+        "is_unitizing": 18,
+        "classify_subset": 28,
     }
+
+
+def test_single_kite_command_builds_no_extension(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str], tmp_path
+) -> None:
+    counts = count_kite_work(monkeypatch)
+    argv = ["kite", "--base", "chain(2)", "--index", "2", "--lambda", "0,1"]
+    argv += ["--rho", "0,1", "-o", str(tmp_path / "kite.txt")]
+    assert cli_run(argv) == 0
+    out = capsys.readouterr().out
+    assert "RESULT size=18" in out and "RESULT connected=false" in out
+    assert counts == {
+        "power_gpea": 1,
+        "_paste": 1,
+        "gamma_unitize": 0,
+        "rdp_profile": 1,
+        "normal_riesz_ideals": 1,
+        "is_unitizing": 1,
+        "classify_subset": 2,
+    }
+
+
+def test_kite_budget_refusal_comes_before_the_power(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    monkeypatch.setenv("GPEA_BUDGET", "16")
+    counts = count_kite_work(monkeypatch)
+    message = "kite carrier of 32 elements exceeds the budget of 16"
+    argv = ["kite", "--base", "chain(1)", "--index", "4"]
+    assert cli_run([*argv, "--lambda", "0,1,2,3", "--rho", "0,1,2,3"]) == 2
+    assert message in capsys.readouterr().err
+    spec = KiteSpec(base=chain(1), index_size=4, lam=identity(4), rho=identity(4))
+    for build in (build_kite, kite_iso):
+        with pytest.raises(BudgetExceededError, match=message):
+            build(spec)
+    assert counts["power_gpea"] == 0
