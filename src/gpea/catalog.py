@@ -19,12 +19,13 @@ breaks closure — windows are therefore never validated and never enter
 operations that require a validated algebra.
 
 The enumerator produces every algebra on a small carrier up to
-isomorphism, one canonical representative per class (the
-lexicographically smallest table over relabelings fixing 0).  A
-depth-first search decides the table cell by cell and cuts a branch as
-soon as the decided cells break positivity, cancellation or strong
-associativity (in the style of the SEM and Mace4 model finders); the
-few complete tables left are validated in full.  A deliberately naive
+isomorphism, one representative per class: the lexicographically
+smallest table over relabelings fixing 0.  A depth-first search decides
+the table cell by cell and cuts a branch as soon as the decided cells
+break positivity, cancellation or strong associativity (in the style of
+the SEM and Mace4 model finders); the few complete tables left are
+validated in full and visited in key order, and each is kept unless
+``find_morphisms`` maps a kept table onto it.  A deliberately naive
 second method double checks the counts at tiny sizes.
 """
 
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     BudgetExceededError,
     FiniteGpea,
     MalformedTableError,
+    find_morphisms,
     require_within_budget,
     validate_axioms,
 )
@@ -299,16 +301,6 @@ def twisted_window(n: int, twisted: bool = True) -> WindowSpotCheck:
 ENUMERATION_LIMIT = 6
 
 
-def _canonical_key(g: FiniteGpea) -> tuple[int, ...]:
-    best = None
-    for perm_rest in itertools.permutations(range(1, g.size)):
-        perm = (0,) + perm_rest
-        key = g.relabel(perm).table_key()
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def _neutral_op(n: int) -> dict[tuple[int, int], int]:
     op = {(0, i): i for i in range(n)}
     op.update({(i, 0): i for i in range(n)})
@@ -397,6 +389,15 @@ def _search_tables(n: int) -> Iterator[FiniteGpea]:
     return rec(0)
 
 
+def _class_minima(tables: Iterable[FiniteGpea]) -> list[FiniteGpea]:
+    """Validated in key order, each table kept unless isomorphic to a kept one."""
+    kept: list[FiniteGpea] = []
+    for g in sorted((g.validate() for g in tables), key=FiniteGpea.table_key):
+        if not any(find_morphisms(h, g) for h in kept):
+            kept.append(g)
+    return kept
+
+
 def enumerate_gpeas(
     size: int,
     total: bool | None = None,
@@ -405,11 +406,10 @@ def enumerate_gpeas(
 ) -> list[FiniteGpea]:
     """All algebras on ``{0..size-1}`` up to isomorphism, canonical reps only.
 
-    A table is kept when it equals the lexicographically smallest
-    relabeling of itself (relabelings fix 0), so each isomorphism class
-    contributes exactly one validated representative.  Optional keyword
-    filters restrict by the structure flags.  Results are sorted by
-    table key.
+    Each isomorphism class is represented by its lexicographically
+    smallest valid table over relabelings fixing 0, found with
+    ``find_morphisms`` and validated.  Optional keyword filters restrict
+    by the structure flags.  Results are sorted by table key.
     """
     if size < 1:
         raise MalformedTableError("carrier must have at least the zero element")
@@ -417,21 +417,13 @@ def enumerate_gpeas(
         raise BudgetExceededError(
             f"enumeration supports at most {ENUMERATION_LIMIT} elements"
         )
-    out = []
-    for g in _search_tables(size):
-        if g.table_key() != _canonical_key(g):
-            continue
-        g = g.validate()
-        flags = g.flags
-        if total is not None and flags.total != total:
-            continue
-        if weakly_commutative is not None and flags.weakly_commutative != weakly_commutative:
-            continue
-        if has_unit is not None and flags.has_unit != has_unit:
-            continue
-        out.append(g)
-    out.sort(key=FiniteGpea.table_key)
-    return out
+    return [
+        g
+        for g in _class_minima(_search_tables(size))
+        if total in (None, g.flags.total)
+        and weakly_commutative in (None, g.flags.weakly_commutative)
+        and has_unit in (None, g.flags.has_unit)
+    ]
 
 
 def count_gpeas_naive(size: int) -> int:
@@ -439,17 +431,17 @@ def count_gpeas_naive(size: int) -> int:
 
     Enumerates every assignment of the nonzero cells (undefined or any
     value) with no pruning at all, filters by the axiom checker, and
-    deduplicates by canonical key.  Exponential, and refused above 4
-    elements: size 4 checks 5^9 (about 1.95 million) raw tables, which
-    took 134 s on a 2-core machine under Python 3.11; size 3 takes a
-    few milliseconds.
+    counts the classes among the valid tables with ``find_morphisms``.
+    Exponential, and refused above 4 elements: size 4 checks 5^9 (about
+    1.95 million) raw tables, which took 134 s on a 2-core machine
+    under Python 3.11; size 3 takes a few milliseconds.
     """
     if size < 1:
         raise MalformedTableError("carrier must have at least the zero element")
     if size > 4:
         raise BudgetExceededError("naive enumeration supports at most 4 elements")
     cells = [(i, j) for i in range(1, size) for j in range(1, size)]
-    keys = set()
+    valid = []
     for values in itertools.product([None, *range(size)], repeat=len(cells)):
         op = _neutral_op(size)
         op.update(
@@ -457,8 +449,8 @@ def count_gpeas_naive(size: int) -> int:
         )
         g = FiniteGpea(size, op)
         if validate_axioms(g).passed:
-            keys.add(_canonical_key(g))
-    return len(keys)
+            valid.append(g)
+    return len(_class_minima(valid))
 
 
 # ------------------------------------------------------------------ file format

@@ -37,6 +37,7 @@ from .core import (
     InvariantViolation,
     MalformedTableError,
     classify,
+    element_budget,
     find_morphisms,
     validate_axioms,
 )
@@ -89,6 +90,7 @@ def _load_table(source: str) -> FiniteGpea:
             return parse(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise _InputError(f"cannot read {source}: {exc}") from exc
+    element_budget()  # a malformed GPEA_BUDGET is reported as itself
     try:
         return builtin(source)
     except MalformedTableError:  # a budget refusal keeps its own message

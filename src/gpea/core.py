@@ -784,6 +784,8 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea, mode: str = "iso") -> list[tupl
         qu = q.order.maximum
         if pu is None or qu is None:
             raise NoUnitError("pea_iso mode requires unital algebras")
+    if len(p.sums) != len(q.sums):  # an isomorphism maps sums one-to-one
+        return []
 
     p_table = p.table
     q_table = q.table

@@ -792,12 +792,11 @@ def normal_riesz_ideals(
     g: FiniteGpea,
     gamma: Sequence[int] | None = None,
     include_improper: bool = True,
-    nontrivial_only: bool = True,
 ) -> list[frozenset[int]]:
-    """All (nontrivial) normal Riesz ideals, optionally twist-closed."""
+    """All normal Riesz ideals but ``{0}``, optionally twist-closed."""
     out = []
     for members in enumerate_ideals(g):
-        if nontrivial_only and members == frozenset({0}):
+        if members == frozenset({0}):
             continue
         if not include_improper and len(members) == g.size:
             continue
@@ -814,10 +813,9 @@ def smallest_normal_riesz_ideal(
 ) -> frozenset[int] | None:
     """The nontrivial normal Riesz (twist-closed) ideal contained in all
     others, or ``None`` when the family is empty or has no minimum."""
-    family = normal_riesz_ideals(
-        g, gamma, include_improper=include_improper, nontrivial_only=True
+    return least_ideal(
+        normal_riesz_ideals(g, gamma, include_improper=include_improper)
     )
-    return least_ideal(family)
 
 
 def least_ideal(family: Sequence[frozenset[int]]) -> frozenset[int] | None:
@@ -834,17 +832,20 @@ def least_ideal(family: Sequence[frozenset[int]]) -> frozenset[int] | None:
 # ------------------------------------------------------------- congruences
 
 
-def congruences(g: FiniteGpea, max_size: int = 8) -> Iterator[Partition]:
+CONGRUENCE_LIMIT = 8
+
+
+def congruences(g: FiniteGpea) -> Iterator[Partition]:
     """All congruences (C1-C3) of a small algebra, via partition search.
 
-    The carrier must have at most ``max_size`` elements (the search walks
-    every partition, of which there are Bell-number many); the cheap C2
-    check runs first as a filter.
+    The carrier must have at most ``CONGRUENCE_LIMIT`` elements (the
+    search walks every partition, of which there are Bell-number many);
+    the cheap C2 check runs first as a filter.
     """
     g.require_validated()
-    if g.size > max_size:
+    if g.size > CONGRUENCE_LIMIT:
         raise BudgetExceededError(
-            f"congruence search over all partitions is limited to {max_size} elements"
+            f"congruence search over all partitions is limited to {CONGRUENCE_LIMIT} elements"
         )
     for rel in all_partitions(g.size):
         if not _check_c2(g, rel):

@@ -377,6 +377,8 @@ def _verify_congruence(
     """
     for label, g in instances:
         n = g.size
+        # By size, then sorted members: the ideals come in enumerate_ideals' order.
+        ideals = []
         for members_tuple in itertools.chain.from_iterable(
             itertools.combinations(range(1, n), r) for r in range(n)
         ):
@@ -390,10 +392,10 @@ def _verify_congruence(
             tallies["ideal_flag_implications"].check(
                 f"{label}:S={_subset_label(members)}", ok
             )
+            if flags.ideal:
+                ideals.append((members, flags))
 
-        ideals = enumerate_ideals(g)
-        for members in ideals:
-            flags = classify_subset(g, members)
+        for members, flags in ideals:
             ilabel = f"{label}:I={_subset_label(members)}"
             if flags.normal:
                 verdict = normal_ideal_lemmas(g, members)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator
 
@@ -18,6 +19,7 @@ from gpea import (
     count_gpeas_naive,
     fig1,
     find_morphisms,
+    is_isomorphism,
     parse,
     product,
     serialize,
@@ -230,6 +232,29 @@ def test_search_keeps_every_valid_table_of_the_prune_only_search(n, count):
     assert set(found) == expected
 
 
+# The enumerator's former canonical form, kept as the oracle: the
+# smallest table key over all (n-1)! relabellings fixing 0.
+def _canonical_key(g: FiniteGpea) -> tuple[int, ...]:
+    best = None
+    for perm_rest in itertools.permutations(range(1, g.size)):
+        perm = (0,) + perm_rest
+        key = g.relabel(perm).table_key()
+        if best is None or key < best:
+            best = key
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_representatives_are_the_brute_force_class_minima(n):
+    # Each labelled table's class minimum is a representative, and each
+    # representative is the minimum of its own class.
+    classes = enumerate_gpeas(n)
+    keys = [g.table_key() for g in classes]
+    assert all(_canonical_key(g) == g.table_key() for g in classes)
+    assert {_canonical_key(g) for g in catalog._search_tables(n)} == set(keys)
+    assert len(keys) == len(set(keys))
+
+
 def test_search_at_size_five_counts_every_labelling_once():
     # Orbit counting: a class g has 4! / |Aut(g)| labellings fixing 0.
     classes = enumerate_gpeas(5)
@@ -239,9 +264,32 @@ def test_search_at_size_five_counts_every_labelling_once():
         math.factorial(4) // len(find_morphisms(g, g, "iso")) for g in classes
     )
     assert labellings == len(tables) == len(keys) == 181
-    assert {catalog._canonical_key(g) for g in tables} == {
+    assert {_canonical_key(g) for g in tables} == {
         g.table_key() for g in classes
     }
+
+
+def test_find_morphisms_matches_brute_force_on_labelled_tables():
+    # Every ordered pair of labelled tables of sizes 1..4, against every
+    # permutation fixing 0 checked by is_isomorphism.
+    tables = [
+        g.validate() for n in (1, 2, 3, 4) for g in catalog._search_tables(n)
+    ]
+    verdicts = set()
+    sum_counts_differ = 0
+    for g in tables:
+        for h in tables:
+            expected = [
+                (0, *rest)
+                for rest in itertools.permutations(range(1, g.size))
+                if is_isomorphism(g, h, (0, *rest))
+            ]
+            assert find_morphisms(g, h) == expected, (g.table_key(), h.table_key())
+            verdicts.add(bool(expected))
+            sum_counts_differ += g.size == h.size and len(g.sums) != len(h.sums)
+    assert len(tables) == 24
+    assert verdicts == {True, False}
+    assert sum_counts_differ > 0
 
 
 def test_search_validates_only_associative_leaves(monkeypatch):

@@ -99,6 +99,22 @@ def test_check_reports_budget_refusal_of_a_builtin(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ("abc", "GPEA_BUDGET must be an integer, got 'abc'"),
+        ("0", "GPEA_BUDGET must be positive"),
+    ],
+)
+@pytest.mark.parametrize("source", ["fig1", "chain(2)"])
+def test_check_reports_a_malformed_budget_for_a_builtin(
+    capsys, monkeypatch, budget, message, source
+):
+    monkeypatch.setenv("GPEA_BUDGET", budget)
+    code, out, err = invoke(capsys, ["check", source])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_check_reads_stdin(capsys, monkeypatch):
     code, out, _ = invoke(
         capsys,

@@ -345,7 +345,8 @@ def test_congruences_satisfy_the_relation_flags(fig1_algebra):
 
 def test_congruence_search_respects_the_size_guard(fig1_algebra):
     big = gamma_unitize(fig1_algebra, IDENTITY6).algebra
-    with pytest.raises(BudgetExceededError):
+    message = "^congruence search over all partitions is limited to 8 elements$"
+    with pytest.raises(BudgetExceededError, match=message):
         list(congruences(big))
     small = gamma_unitize(chain(2), (0, 1, 2)).algebra
     assert sum(1 for _ in congruences(small)) >= 1
