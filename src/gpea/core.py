@@ -277,6 +277,14 @@ class FiniteGpea:
     def pea(self) -> "PeaView":
         return pea_view(self)
 
+    @cached_property
+    def verdicts(self) -> dict[tuple, object]:
+        """The ideals module's store: each subset, relation, twist and
+        sweep verdict it computed on this algebra, under a (kind, key)
+        key (see :mod:`gpea.ideals`)."""
+        self.require_validated()
+        return {}
+
     def _subset_directed(self, members: Iterable[int], masks: list[int]) -> bool:
         mask = 0
         for x in members:

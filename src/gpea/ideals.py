@@ -7,12 +7,26 @@ unital/Riesz refinements, and the two constructions connecting them are
 provided: the relation induced by an ideal (``a`` related to ``b`` when both
 become equal after removing a small piece) and the quotient algebra of a
 congruence.
+
+Each validated algebra keeps what this module decides about it in its
+``verdicts`` store (see :attr:`FiniteGpea.verdicts`), so a question asked
+again of the same instance is answered from the store: the twist-free
+``IdealFlags`` of a subset (key ``("subset", mask)``), the twist- and
+GCR-free ``CongruenceFlags`` of a relation (``("relation", block_of)``),
+the ideal list and the congruence list (``("ideals",)``,
+``("congruences",)``), the relation an ideal induces or its transitivity
+failure text (``("sim", mask)``), the quotient by a relation (``("quotient",
+block_of)``) and each twist that passed the automorphism check
+(``("automorphism", gamma)``).  The twist-closure, twist-compatibility
+and GCR verdicts are cheap and computed on every call.  Every call still
+returns a fresh list or iterator, and raises as it would without the
+store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     BudgetExceededError,
@@ -85,12 +99,26 @@ def _subset_mask(g: FiniteGpea, members: Iterable[int]) -> int:
     return mask
 
 
+_T = TypeVar("_T")
+
+
+def _stored(g: FiniteGpea, key: tuple, compute: Callable[[], _T]) -> _T:
+    """The verdict under ``key`` in ``g``'s store, computed on first use."""
+    store = g.verdicts
+    if key not in store:
+        store[key] = compute()
+    return store[key]
+
+
 def _require_automorphism(g: FiniteGpea, gamma: Sequence[int]) -> tuple[int, ...]:
     gamma = tuple(gamma)
-    if sorted(gamma) != list(range(g.size)):
-        raise MalformedTableError("twist map is not a permutation of the carrier")
-    if not is_isomorphism(g, g, gamma):
-        raise MalformedTableError("twist map is not an automorphism")
+    key = ("automorphism", gamma)
+    if key not in g.verdicts:
+        if sorted(gamma) != list(range(g.size)):
+            raise MalformedTableError("twist map is not a permutation of the carrier")
+        if not is_isomorphism(g, g, gamma):
+            raise MalformedTableError("twist map is not an automorphism")
+        g.verdicts[key] = True
     return gamma
 
 
@@ -104,15 +132,25 @@ def classify_subset(
     The R1 and Riesz verdicts presuppose an ideal and are reported false
     otherwise.  The empty subset gets all-false verdicts.  ``gamma``, when
     given, must be an automorphism; the closure verdict is then
-    ``members == gamma(members)``.
+    ``members == gamma(members)`` (false for the empty subset).
     """
     g.require_validated()
     if gamma is not None:
         gamma = _require_automorphism(g, gamma)
     mask = _subset_mask(g, members)
+    flags = _stored(g, ("subset", mask), lambda: _subset_flags(g, mask))
+    if gamma is None:
+        return flags
+    closed = mask != 0 and all(
+        (mask >> gamma[x] & 1) == (mask >> x & 1) for x in range(g.size)
+    )
+    return replace(flags, gamma_closed=closed)
+
+
+def _subset_flags(g: FiniteGpea, mask: int) -> IdealFlags:
+    """The twist-free verdicts of the subset ``mask``: the subset kernel."""
     if mask == 0:
-        return IdealFlags(False, False, False, False, False, False,
-                          False if gamma is not None else None)
+        return IdealFlags(False, False, False, False, False, False, None)
     n = g.size
     down = g.order.down_masks
     inside = [x for x in range(n) if mask >> x & 1]
@@ -144,10 +182,6 @@ def classify_subset(
     r1 = ideal and _check_r1(g, mask, inside)
     riesz = r1 and _check_r2(g, mask, inside)
 
-    gamma_closed: bool | None = None
-    if gamma is not None:
-        gamma_closed = all((mask >> gamma[x] & 1) == (mask >> x & 1) for x in range(n))
-
     return IdealFlags(
         order_ideal=order_ideal,
         ideal=ideal,
@@ -155,7 +189,7 @@ def classify_subset(
         sub_gpea=sub_gpea,
         r1=r1,
         riesz=riesz,
-        gamma_closed=gamma_closed,
+        gamma_closed=None,
     )
 
 
@@ -279,19 +313,18 @@ class Partition:
         blocks = [frozenset(b) for b in blocks]
         if any(not b for b in blocks):
             raise MalformedTableError("partition blocks must be nonempty")
-        seen: set[int] = set()
-        for b in blocks:
+        blocks.sort(key=min)
+        block_of = [-1] * size
+        for i, b in enumerate(blocks):
             for x in b:
-                if not 0 <= x < size or x in seen:
+                if not 0 <= x < size or block_of[x] >= 0:
                     raise MalformedTableError("blocks must disjointly cover the carrier")
-                seen.add(x)
-        if len(seen) != size:
+                block_of[x] = i
+        if -1 in block_of:
             raise MalformedTableError("blocks must disjointly cover the carrier")
         self.size = size
-        self.blocks: tuple[frozenset[int], ...] = tuple(sorted(blocks, key=min))
-        self.block_of: tuple[int, ...] = tuple(
-            next(i for i, b in enumerate(self.blocks) if x in b) for x in range(size)
-        )
+        self.blocks: tuple[frozenset[int], ...] = tuple(blocks)
+        self.block_of: tuple[int, ...] = tuple(block_of)
 
     @classmethod
     def identity(cls, size: int) -> "Partition":
@@ -303,10 +336,19 @@ class Partition:
 
     @classmethod
     def from_block_of(cls, labels: Sequence[int]) -> "Partition":
-        groups: dict[int, list[int]] = {}
-        for x, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(x)
-        return cls(len(labels), groups.values())
+        """The partition putting ``x`` and ``y`` together iff their labels
+        agree; the labels are renumbered by first appearance, which is the
+        canonical block order."""
+        first: dict[int, int] = {}
+        block_of = tuple(first.setdefault(lab, len(first)) for lab in labels)
+        members: list[list[int]] = [[] for _ in first]
+        for x, i in enumerate(block_of):
+            members[i].append(x)
+        rel = cls.__new__(cls)
+        rel.size = len(block_of)
+        rel.blocks = tuple(map(frozenset, members))
+        rel.block_of = block_of
+        return rel
 
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
@@ -558,26 +600,35 @@ def classify_relation(
         raise MalformedTableError("partition size does not match the carrier")
     if gamma is not None:
         gamma = _require_automorphism(g, gamma)
-    c1 = True  # partitions are equivalences by construction
-    c2 = _check_c2(g, rel)
-    c3 = _check_c3(g, rel)
-    c4 = _check_c4(g, rel)
-    c5 = _check_c5(g, rel)
-    c4prime = _check_c4prime(g, rel) if g.flags.has_unit else None
-    c5prime = _check_c5prime(g, rel)
-    cr = _check_cr(g, rel)
-    gcr = (
-        gcr_condition(g, rel, ideal_for_gcr, form=1)
-        if ideal_for_gcr is not None
-        else None
+    flags = _stored(g, ("relation", rel.block_of), lambda: _relation_flags(g, rel))
+    if ideal_for_gcr is None and gamma is None:
+        return flags
+    return replace(
+        flags,
+        gcr=(
+            gcr_condition(g, rel, ideal_for_gcr, form=1)
+            if ideal_for_gcr is not None
+            else None
+        ),
+        gamma_congruence=(
+            _check_gamma_congruence(rel, gamma) if gamma is not None else None
+        ),
     )
-    gamma_congruence = (
-        _check_gamma_congruence(rel, gamma) if gamma is not None else None
-    )
+
+
+def _relation_flags(g: FiniteGpea, rel: Partition) -> CongruenceFlags:
+    """The twist- and GCR-free verdicts of ``rel``: the relation kernel."""
     return CongruenceFlags(
-        c1=c1, c2=c2, c3=c3, c4=c4, c5=c5,
-        c4prime=c4prime, c5prime=c5prime, cr=cr, gcr=gcr,
-        gamma_congruence=gamma_congruence,
+        c1=True,  # partitions are equivalences by construction
+        c2=_check_c2(g, rel),
+        c3=_check_c3(g, rel),
+        c4=_check_c4(g, rel),
+        c5=_check_c5(g, rel),
+        c4prime=_check_c4prime(g, rel) if g.flags.has_unit else None,
+        c5prime=_check_c5prime(g, rel),
+        cr=_check_cr(g, rel),
+        gcr=None,
+        gamma_congruence=None,
     )
 
 
@@ -598,6 +649,15 @@ def sim_from_ideal(g: FiniteGpea, members: Iterable[int]) -> Partition:
     if not flags.ideal:
         raise MalformedTableError("sim_from_ideal requires an ideal")
     mask = _subset_mask(g, members)
+    rel = _stored(g, ("sim", mask), lambda: _induced_relation(g, mask, flags.normal))
+    if isinstance(rel, str):
+        raise NotEquivalenceError(rel)
+    return rel
+
+
+def _induced_relation(g: FiniteGpea, mask: int, normal: bool) -> Partition | str:
+    """The peel relation of the ideal ``mask``, or the text of its
+    transitivity failure."""
     n = g.size
     inside = [x for x in range(n) if mask >> x & 1]
     down = g.order.down_masks
@@ -613,7 +673,7 @@ def sim_from_ideal(g: FiniteGpea, members: Iterable[int]) -> Partition:
     right_peels = [peels(a, use_left=False) for a in range(n)]
     related = [[bool(right_peels[a] & right_peels[b]) for b in range(n)] for a in range(n)]
 
-    if flags.normal:
+    if normal:
         left_peels = [peels(a, use_left=True) for a in range(n)]
         for a in range(n):
             for b in range(n):
@@ -627,9 +687,7 @@ def sim_from_ideal(g: FiniteGpea, members: Iterable[int]) -> Partition:
             if related[a][b]:
                 for c in range(n):
                     if related[b][c] and not related[a][c]:
-                        raise NotEquivalenceError(
-                            f"NOT_EQUIVALENCE: transitivity fails at ({a}, {b}, {c})"
-                        )
+                        return f"NOT_EQUIVALENCE: transitivity fails at ({a}, {b}, {c})"
 
     labels = [-1] * n
     fresh = 0
@@ -657,6 +715,10 @@ def quotient(g: FiniteGpea, rel: Partition) -> FiniteGpea:
         raise MalformedTableError(
             "quotient requires a congruence satisfying C4 and C5"
         )
+    return _stored(g, ("quotient", rel.block_of), lambda: _block_algebra(g, rel))
+
+
+def _block_algebra(g: FiniteGpea, rel: Partition) -> FiniteGpea:
     bl = rel.block_of
     table: dict[tuple[int, int], int] = {}
     for a, b, s in g.sums:
@@ -754,6 +816,10 @@ def enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
     inside ``J``, larger than ``I``.
     """
     g.require_validated()
+    return list(_stored(g, ("ideals",), lambda: _ideal_sweep(g)))
+
+
+def _ideal_sweep(g: FiniteGpea) -> tuple[frozenset[int], ...]:
     n = g.size
     down = g.order.down_masks
     partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -785,7 +851,7 @@ def enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
     subsets = [
         frozenset(x for x in range(n) if mask >> x & 1) for mask in seen
     ]
-    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
+    return tuple(sorted(subsets, key=lambda s: (len(s), sorted(s))))
 
 
 def normal_riesz_ideals(
@@ -847,8 +913,13 @@ def congruences(g: FiniteGpea) -> Iterator[Partition]:
         raise BudgetExceededError(
             f"congruence search over all partitions is limited to {CONGRUENCE_LIMIT} elements"
         )
-    for rel in all_partitions(g.size):
-        if not _check_c2(g, rel):
-            continue
-        if _check_c3(g, rel):
-            yield rel
+    yield from _stored(g, ("congruences",), lambda: _partition_walk(g))
+
+
+def _partition_walk(g: FiniteGpea) -> tuple[Partition, ...]:
+    """Every partition passing C2 and C3, in ``all_partitions`` order."""
+    return tuple(
+        rel
+        for rel in all_partitions(g.size)
+        if _check_c2(g, rel) and _check_c3(g, rel)
+    )

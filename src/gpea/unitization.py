@@ -427,10 +427,8 @@ def extend_congruence(ua: UnitizationAlgebra, rel: Partition) -> Partition:
     """
     if rel.size != ua.base.size:
         raise MalformedTableError("relation size does not match the base")
-    n = ua.base.size
-    blocks = [set(b) for b in rel.blocks]
-    blocks += [{x + n for x in b} for b in rel.blocks]
-    return Partition(2 * n, blocks)
+    k = len(rel.blocks)
+    return Partition.from_block_of(rel.block_of + tuple(k + i for i in rel.block_of))
 
 
 def lift_congruence_biconditional(ua: UnitizationAlgebra, rel: Partition) -> bool:

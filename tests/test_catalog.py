@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -26,7 +27,7 @@ from gpea import (
     twisted_window,
     validate_axioms,
 )
-from gpea import catalog
+from gpea import catalog, core
 from gpea.catalog import _neutral_op, enumerate_gpeas
 
 
@@ -304,6 +305,25 @@ def test_search_validates_only_associative_leaves(monkeypatch):
     monkeypatch.setattr(catalog, "validate_axioms", counting_validate)
     assert len(list(catalog._search_tables(5))) == 181
     assert len(leaves) == 337
+
+
+def test_enumeration_validates_each_leaf_once(monkeypatch):
+    # The search's own check marks a passing leaf validated, so keeping
+    # the class minima does not run validate_axioms on it again.
+    checked = []
+
+    def counting_validate(g):
+        checked.append(g)
+        return validate_axioms(g)
+
+    for module in (catalog, core):
+        monkeypatch.setattr(module, "validate_axioms", counting_validate)
+    classes = enumerate_gpeas(5)
+    assert len(checked) == len({id(g) for g in checked}) == 337
+    golden = Path(__file__).parent / "golden" / "enumerate-size-5.txt"
+    assert "".join(serialize(g) + "\n" for g in classes) + "RESULT count=13\n" == (
+        golden.read_text(encoding="utf-8")
+    )
 
 
 def test_enumeration_limit_is_refused_before_any_search(monkeypatch):

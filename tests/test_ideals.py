@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from gpea import (
@@ -117,6 +119,34 @@ def test_partition_basics():
     assert p == Partition.from_block_of([5, 7, 5, 9])  # labels normalized
     assert Partition.identity(3) == Partition.from_block_of([0, 1, 2])
     assert Partition.single_block(3) == Partition.from_block_of([0, 0, 0])
+
+
+def test_blocks_and_labels_build_the_same_canonical_partition():
+    # Every partition of four elements, its blocks given in every order.
+    for rel in all_partitions(4):
+        for blocks in itertools.permutations(rel.blocks):
+            built = Partition(4, [sorted(b, reverse=True) for b in blocks])
+            assert (built.blocks, built.block_of) == (rel.blocks, rel.block_of)
+        labels = [7 - 2 * i for i in rel.block_of]  # not restricted-growth
+        relabelled = Partition.from_block_of(labels)
+        assert (relabelled.blocks, relabelled.block_of) == (rel.blocks, rel.block_of)
+        assert min(rel.blocks[0]) == 0
+        assert [min(b) for b in rel.blocks] == sorted(min(b) for b in rel.blocks)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[0, 1], []],  # empty block
+        [[0, 1], [1, 2]],  # overlapping blocks
+        [[0, 1], [2, 3]],  # member out of range
+        [[0, -1], [1, 2]],  # negative member
+        [[0, 2]],  # element 1 uncovered
+    ],
+)
+def test_partition_rejects_anything_but_a_disjoint_cover(blocks):
+    with pytest.raises(MalformedTableError):
+        Partition(3, blocks)
 
 
 def test_all_partitions_counts_are_bell_numbers():
