@@ -279,9 +279,9 @@ class FiniteGpea:
 
     @cached_property
     def verdicts(self) -> dict[tuple, object]:
-        """The ideals module's store: each subset, relation, twist and
-        sweep verdict it computed on this algebra, under a (kind, key)
-        key (see :mod:`gpea.ideals`)."""
+        """The ideals module's store: each subset and relation verdict
+        and each ideal and congruence sweep it computed on this algebra,
+        under a (kind, key) key (see :mod:`gpea.ideals`)."""
         self.require_validated()
         return {}
 

@@ -13,14 +13,14 @@ Each validated algebra keeps what this module decides about it in its
 again of the same instance is answered from the store: the twist-free
 ``IdealFlags`` of a subset (key ``("subset", mask)``), the twist- and
 GCR-free ``CongruenceFlags`` of a relation (``("relation", block_of)``),
-the ideal list and the congruence list (``("ideals",)``,
-``("congruences",)``), the relation an ideal induces or its transitivity
-failure text (``("sim", mask)``), the quotient by a relation (``("quotient",
-block_of)``) and each twist that passed the automorphism check
-(``("automorphism", gamma)``).  The twist-closure, twist-compatibility
-and GCR verdicts are cheap and computed on every call.  Every call still
-returns a fresh list or iterator, and raises as it would without the
-store.
+and the ideal list and the congruence list (``("ideals",)``,
+``("congruences",)``).  The twist-closure, twist-compatibility and GCR
+verdicts, the automorphism check of a twist, the induced relation and
+the quotient are computed on every call: storing them too saved about
+4 % of an in-process ``gpea verify all --budget 4`` pass, too little to
+show in its wall time.  Every call still returns a fresh list or
+iterator, and raises as it would without the store; the flags and
+partitions in it are immutable values shared between calls.
 """
 
 from __future__ import annotations
@@ -112,13 +112,10 @@ def _stored(g: FiniteGpea, key: tuple, compute: Callable[[], _T]) -> _T:
 
 def _require_automorphism(g: FiniteGpea, gamma: Sequence[int]) -> tuple[int, ...]:
     gamma = tuple(gamma)
-    key = ("automorphism", gamma)
-    if key not in g.verdicts:
-        if sorted(gamma) != list(range(g.size)):
-            raise MalformedTableError("twist map is not a permutation of the carrier")
-        if not is_isomorphism(g, g, gamma):
-            raise MalformedTableError("twist map is not an automorphism")
-        g.verdicts[key] = True
+    if sorted(gamma) != list(range(g.size)):
+        raise MalformedTableError("twist map is not a permutation of the carrier")
+    if not is_isomorphism(g, g, gamma):
+        raise MalformedTableError("twist map is not an automorphism")
     return gamma
 
 
@@ -337,18 +334,12 @@ class Partition:
     @classmethod
     def from_block_of(cls, labels: Sequence[int]) -> "Partition":
         """The partition putting ``x`` and ``y`` together iff their labels
-        agree; the labels are renumbered by first appearance, which is the
-        canonical block order."""
-        first: dict[int, int] = {}
-        block_of = tuple(first.setdefault(lab, len(first)) for lab in labels)
-        members: list[list[int]] = [[] for _ in first]
-        for x, i in enumerate(block_of):
-            members[i].append(x)
-        rel = cls.__new__(cls)
-        rel.size = len(block_of)
-        rel.blocks = tuple(map(frozenset, members))
-        rel.block_of = block_of
-        return rel
+        agree.  Grouped by first appearance, the blocks come already in the
+        canonical order."""
+        groups: dict[int, list[int]] = {}
+        for x, lab in enumerate(labels):
+            groups.setdefault(lab, []).append(x)
+        return cls(len(labels), groups.values())
 
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
@@ -649,15 +640,6 @@ def sim_from_ideal(g: FiniteGpea, members: Iterable[int]) -> Partition:
     if not flags.ideal:
         raise MalformedTableError("sim_from_ideal requires an ideal")
     mask = _subset_mask(g, members)
-    rel = _stored(g, ("sim", mask), lambda: _induced_relation(g, mask, flags.normal))
-    if isinstance(rel, str):
-        raise NotEquivalenceError(rel)
-    return rel
-
-
-def _induced_relation(g: FiniteGpea, mask: int, normal: bool) -> Partition | str:
-    """The peel relation of the ideal ``mask``, or the text of its
-    transitivity failure."""
     n = g.size
     inside = [x for x in range(n) if mask >> x & 1]
     down = g.order.down_masks
@@ -673,7 +655,7 @@ def _induced_relation(g: FiniteGpea, mask: int, normal: bool) -> Partition | str
     right_peels = [peels(a, use_left=False) for a in range(n)]
     related = [[bool(right_peels[a] & right_peels[b]) for b in range(n)] for a in range(n)]
 
-    if normal:
+    if flags.normal:
         left_peels = [peels(a, use_left=True) for a in range(n)]
         for a in range(n):
             for b in range(n):
@@ -687,7 +669,9 @@ def _induced_relation(g: FiniteGpea, mask: int, normal: bool) -> Partition | str
             if related[a][b]:
                 for c in range(n):
                     if related[b][c] and not related[a][c]:
-                        return f"NOT_EQUIVALENCE: transitivity fails at ({a}, {b}, {c})"
+                        raise NotEquivalenceError(
+                            f"NOT_EQUIVALENCE: transitivity fails at ({a}, {b}, {c})"
+                        )
 
     labels = [-1] * n
     fresh = 0
@@ -715,10 +699,6 @@ def quotient(g: FiniteGpea, rel: Partition) -> FiniteGpea:
         raise MalformedTableError(
             "quotient requires a congruence satisfying C4 and C5"
         )
-    return _stored(g, ("quotient", rel.block_of), lambda: _block_algebra(g, rel))
-
-
-def _block_algebra(g: FiniteGpea, rel: Partition) -> FiniteGpea:
     bl = rel.block_of
     table: dict[tuple[int, int], int] = {}
     for a, b, s in g.sums:
