@@ -140,7 +140,7 @@ def boolean(k: int) -> FiniteGpea:
 def builtin(text: str) -> FiniteGpea:
     """Resolve a builtin expression: ``fig1``, ``chain(n)``, ``boolean(k)``,
     or ``product(expr,expr)`` with arbitrary nesting."""
-    expr = text.strip()
+    expr = text.strip().replace(" ", "")
 
     def parse_expr(s: str, pos: int) -> tuple[FiniteGpea, int]:
         for name in ("fig1", "chain", "boolean", "product"):
@@ -160,7 +160,10 @@ def builtin(text: str) -> FiniteGpea:
                 end += 1
             if end == pos:
                 raise MalformedTableError(f"{name} requires an integer argument")
-            value = int(s[pos:end])
+            try:
+                value = int(s[pos:end])
+            except ValueError:
+                raise MalformedTableError(f"{name} requires an integer argument") from None
             if end >= len(s) or s[end] != ")":
                 raise MalformedTableError(f"unclosed argument list for {name}")
             return (chain(value) if name == "chain" else boolean(value)), end + 1
@@ -172,8 +175,8 @@ def builtin(text: str) -> FiniteGpea:
             raise MalformedTableError("unclosed argument list for product")
         return product(left, right), pos + 1
 
-    algebra, pos = parse_expr(expr.replace(" ", ""), 0)
-    if pos != len(expr.replace(" ", "")):
+    algebra, pos = parse_expr(expr, 0)
+    if pos != len(expr):
         raise MalformedTableError(f"trailing input after builtin: {expr[pos:]!r}")
     return algebra
 
@@ -516,7 +519,7 @@ def parse(text: str) -> FiniteGpea:
         if directive == "n":
             if size is not None:
                 fail(line_no, "duplicate 'n' directive")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 fail(line_no, "'n' requires one nonnegative integer")
             size = int(fields[1])
             if size < 1:
@@ -524,7 +527,7 @@ def parse(text: str) -> FiniteGpea:
         elif directive == "name":
             if size is None:
                 fail(line_no, "'name' before 'n'")
-            if len(fields) != 3 or not fields[1].isdigit():
+            if len(fields) != 3 or not fields[1].isdecimal():
                 fail(line_no, "'name' requires an index and a token")
             index = int(fields[1])
             if index >= size:
@@ -533,7 +536,7 @@ def parse(text: str) -> FiniteGpea:
         elif directive == "op":
             if size is None:
                 fail(line_no, "'op' before 'n'")
-            if len(fields) != 4 or not all(f.isdigit() for f in fields[1:]):
+            if len(fields) != 4 or not all(f.isdecimal() for f in fields[1:]):
                 fail(line_no, "'op' requires three nonnegative integers")
             i, j, k = (int(f) for f in fields[1:])
             if max(i, j, k) >= size:

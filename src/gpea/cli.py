@@ -181,7 +181,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
 
 def _cmd_autos(args: argparse.Namespace) -> int:
     g = _load_valid(args.file)
-    kept = enumerate_unitizing(g) if args.unitizing else find_morphisms(g, g, "auto")
+    kept = enumerate_unitizing(g) if args.unitizing else find_morphisms(g, g)
     for phi in kept:
         print("AUTO " + ",".join(str(x) for x in phi))
     print(f"RESULT count={len(kept)}")

@@ -770,28 +770,19 @@ def _check_subtraction_formulas(g: FiniteGpea, view: PeaView) -> None:
 # ----------------------------------------------------------------- morphisms
 
 
-def find_morphisms(p: FiniteGpea, q: FiniteGpea, mode: str = "iso") -> list[tuple[int, ...]]:
+def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
     """All structure isomorphisms ``p -> q`` as image tuples, sorted.
 
-    Modes: ``"iso"`` — bijections transferring existence both ways and
-    preserving sums; ``"auto"`` — isomorphisms ``p -> p``; ``"pea_iso"`` —
-    isomorphisms additionally required to map unit to unit (both algebras
-    must be unital).  Returns the empty list when none exist.
+    An isomorphism is a bijection transferring existence both ways and
+    preserving sums; ``find_morphisms(p, p)`` gives the automorphisms.
+    Returns the empty list when none exist.  An isomorphism preserves the
+    induced order, so between unital algebras it maps unit to unit.
     """
-    if mode not in ("iso", "auto", "pea_iso"):
-        raise ValueError(f"unknown morphism mode {mode!r}")
-    if mode == "auto":
-        q = p
     p.require_validated()
     q.require_validated()
     if p.size != q.size:
         return []
     n = p.size
-    if mode == "pea_iso":
-        pu = p.order.maximum
-        qu = q.order.maximum
-        if pu is None or qu is None:
-            raise NoUnitError("pea_iso mode requires unital algebras")
     if len(p.sums) != len(q.sums):  # an isomorphism maps sums one-to-one
         return []
 
@@ -802,18 +793,13 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea, mode: str = "iso") -> list[tupl
     used = [False] * n
     phi[0] = 0
     used[0] = True
-    if mode == "pea_iso" and pu != 0:
-        if used[qu]:  # unit of q is 0 but unit of p is not: sizes disagree
-            return []
-        phi[pu] = qu
-        used[qu] = True
 
     # Elements in decreasing connectivity order make the pruning bite early.
     weight = [0] * n
     for a, b, _ in p.sums:
         weight[a] += 1
         weight[b] += 1
-    todo = sorted((x for x in range(n) if phi[x] is None), key=lambda x: -weight[x])
+    todo = sorted(range(1, n), key=lambda x: -weight[x])
 
     def consistent(a: int, b: int) -> bool:
         fa, fb = phi[a], phi[b]

@@ -12,6 +12,9 @@ the power ``P^I``: the tuples themselves, and a mirror copy written
   and equals ``(η c_i)`` where ``b_{rho(i)} + c_i = a_i``;
 * two mirror elements never add.
 
+So the kite is the mirror pasting of its power, twisted on the left by
+reindexing along ``lam`` and on the right along ``rho``, and the kernel
+that builds unit extensions builds it.
 The mirror of the zero tuple is the unit.  The construction succeeds
 exactly when the *transfer condition* holds — for all tuples and every
 index ``i``, ``a_{rho(i)} + b_i`` is defined iff ``b_i + a_{lam(i)}``
@@ -54,7 +57,14 @@ from .core import (
 )
 from .ideals import classify_subset, least_ideal, normal_riesz_ideals
 from .rdp import rdp_profile
-from .unitization import UnitizationAlgebra, gamma_unitize, is_unitizing
+from .unitization import (
+    UnitizationAlgebra,
+    _check_supplements,
+    _inverse,
+    _mirror_pasting,
+    gamma_unitize,
+    is_unitizing,
+)
 
 __all__ = [
     "KiteSpec",
@@ -75,13 +85,6 @@ __all__ = [
 def _check_index_permutation(perm: tuple[int, ...], k: int, label: str) -> None:
     if sorted(perm) != list(range(k)):
         raise MalformedTableError(f"{label} must be a permutation of 0..{k - 1}")
-
-
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -131,10 +134,9 @@ class PowerGpea:
 
     def reindexing_permutation(self, sigma: tuple[int, ...]) -> tuple[int, ...]:
         """Carrier permutation sending each tuple ``a`` to ``(a[sigma[i]])_i``."""
-        return tuple(
-            self.index_of(tuple(t[sigma[i]] for i in range(self.index_size)))
-            for t in self.tuples
-        )
+        n, k = self.base.size, self.index_size
+        weights = [n ** (k - 1 - i) for i in range(k)]
+        return tuple(sum(t[j] * w for j, w in zip(sigma, weights)) for t in self.tuples)
 
 
 def power_gpea(p: FiniteGpea, k: int) -> PowerGpea:
@@ -147,18 +149,15 @@ def power_gpea(p: FiniteGpea, k: int) -> PowerGpea:
         raise BudgetExceededError(
             f"power carrier of {size} elements exceeds the budget of {element_budget()}"
         )
-    tuples = tuple(itertools.product(range(p.size), repeat=k))
-    op: dict[tuple[int, int], int] = {}
-    for s, a in enumerate(tuples):
-        for t, b in enumerate(tuples):
-            total = 0
-            for x, y in zip(a, b):
-                v = p.value(x, y)
-                if v is None:
-                    break
-                total = total * p.size + v
-            else:
-                op[(s, t)] = total
+    # The k-fold product of p's sums, each tuple read as a base-n numeral.
+    n = p.size
+    sums = [(0, 0, 0)]
+    for _ in range(k):
+        sums = [
+            (x * n + a, y * n + b, z * n + c) for x, y, z in sums for a, b, c in p.sums
+        ]
+    op = {(x, y): z for x, y, z in sums}
+    tuples = tuple(itertools.product(range(n), repeat=k))
     names = ["(" + ",".join(p.name(x) for x in t) + ")" for t in tuples]
     algebra = FiniteGpea(size, op, names).validate()
     power = PowerGpea(base=p, index_size=k, algebra=algebra, tuples=tuples)
@@ -243,33 +242,12 @@ def build_kite(spec: KiteSpec) -> KiteAlgebra:
 
 
 def _paste(spec: KiteSpec, power: PowerGpea, gamma: tuple[int, ...]) -> KiteAlgebra:
-    """The kite table over a built power; the caller has checked the spec."""
+    """The kite over a built power: its mirror pasting with the reindexings
+    along ``lam`` and ``rho``.  The caller has checked the spec."""
     m = power.algebra.size
-    p = spec.base
-    k = spec.index_size
-    op = {(a, b): s for a, b, s in power.algebra.sums}
-    for s, a in enumerate(power.tuples):
-        for t, b in enumerate(power.tuples):
-            mixed = []
-            for i in range(k):
-                x, y = a[spec.lam[i]], b[i]
-                if not p.le(x, y):
-                    break
-                mixed.append(p.right_subtraction(x, y))
-            else:
-                op[(s, t + m)] = power.index_of(tuple(mixed)) + m
-            mixed = []
-            for i in range(k):
-                x, y = b[spec.rho[i]], a[i]
-                if not p.le(x, y):
-                    break
-                mixed.append(p.left_subtraction(x, y))
-            else:
-                op[(s + m, t)] = power.index_of(tuple(mixed)) + m
-    names = [power.algebra.name(t) for t in range(m)]
-    names += ["η" + power.algebra.name(t) for t in range(m)]
+    lam, rho = map(power.reindexing_permutation, (spec.lam, spec.rho))
     try:
-        algebra = FiniteGpea(2 * m, op, names).validate()
+        algebra = _mirror_pasting(power.algebra, lam, rho).validate()
     except InvalidAlgebraError as exc:
         raise InvariantViolation(f"kite table fails the axioms: {exc}") from exc
     if not algebra.flags.has_unit or algebra.pea.unit != m:
@@ -329,17 +307,9 @@ def kite_iso(spec: KiteSpec) -> KiteIsoReport:
 
 
 def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoReport:
-    spec = kite.spec
     m = kite.m
-    power = kite.power
-    lam, rho = spec.lam, spec.rho
-    lam_inv, rho_inv = _inverse(lam), _inverse(rho)
-
-    def reindexed(t: int, sigma: tuple[int, ...]) -> int:
-        tup = power.tuples[t]
-        return power.index_of(tuple(tup[sigma[i]] for i in range(spec.index_size)))
-
-    phi = tuple(range(m)) + tuple(reindexed(t, lam) + m for t in range(m))
+    lam, rho = map(kite.power.reindexing_permutation, (kite.spec.lam, kite.spec.rho))
+    phi = tuple(range(m)) + tuple(x + m for x in lam)
     if not is_isomorphism(extension.algebra, kite.algebra, phi):
         raise InvariantViolation(
             "canonical map is not an isomorphism onto the kite"
@@ -363,28 +333,7 @@ def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoRepo
                     "unit partner in the kite is not uniquely the canonical image"
                 )
 
-    view = kite.algebra.pea
-    for t in range(m):
-        if view.left_supp[t] != reindexed(t, rho) + m:
-            raise InvariantViolation(
-                f"left supplement of tuple {t} is not its rho-reindexed mirror"
-            )
-        if view.right_supp[t] != reindexed(t, lam) + m:
-            raise InvariantViolation(
-                f"right supplement of tuple {t} is not its lam-reindexed mirror"
-            )
-        if view.left_supp[t + m] != reindexed(t, lam_inv):
-            raise InvariantViolation(
-                f"left supplement of mirror {t + m} breaks the reindexing formula"
-            )
-        if view.right_supp[t + m] != reindexed(t, rho_inv):
-            raise InvariantViolation(
-                f"right supplement of mirror {t + m} breaks the reindexing formula"
-            )
-        if view.ll(t) != kite.gamma[t]:
-            raise InvariantViolation(
-                f"double left supplement of tuple {t} differs from the twist"
-            )
+    _check_supplements(kite.algebra, lam, rho, kite.gamma)
     return KiteIsoReport(
         extension=extension, kite=kite, phi=phi, searched_exhaustively=small
     )

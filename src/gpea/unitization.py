@@ -78,6 +78,65 @@ def _permutation(g: FiniteGpea, gamma: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _mirror_pasting(
+    g: FiniteGpea, left_twist: Sequence[int], right_twist: Sequence[int]
+) -> FiniteGpea:
+    """The raw table on ``g`` and its mirror ``η(a) = a + n``.
+
+    ``g`` keeps its sums; ``a + η(b) = η(c)`` with ``c + left_twist(a) = b``
+    and ``η(a) + b = η(c)`` with ``right_twist(b) + c = a``, each defined
+    exactly when that ``c`` exists; two mirrors never add.  The unit
+    extension by ``γ`` is the pasting with twists ``(identity, γ)``, and
+    a kite the pasting of its power with the two reindexings.
+    """
+    n = g.size
+    left, right = g.subtraction_tables
+    op = {(a, b): s for a, b, s in g.sums}
+    for a in range(n):
+        for b in range(n):
+            c = right[left_twist[a] * n + b]
+            if c != n:
+                op[(a, b + n)] = c + n
+            c = left[right_twist[b] * n + a]
+            if c != n:
+                op[(a + n, b)] = c + n
+    names = [g.name(i) for i in range(n)] + ["η" + g.name(i) for i in range(n)]
+    return FiniteGpea(2 * n, op, names)
+
+
+def _check_supplements(
+    u: FiniteGpea,
+    left_twist: Sequence[int],
+    right_twist: Sequence[int],
+    twist: Sequence[int],
+) -> None:
+    """The supplement laws of a mirror pasting ``u`` of an ``n``-element base.
+
+    The unit is ``η(0) = n``; a base element ``a`` has right supplement
+    ``η(left_twist(a))`` and left supplement ``η(right_twist(a))``; the
+    mirror ``η(a)`` has left supplement ``left_twist⁻¹(a)`` and right
+    supplement ``right_twist⁻¹(a)``; the double left supplement on the
+    base is ``twist``.
+    """
+    n = len(twist)
+    view = u.pea
+    if view.unit != n:
+        raise InvariantViolation("unit of the pasting must be the mirror of 0")
+    if view.right_supp != tuple(x + n for x in left_twist) + _inverse(right_twist):
+        raise InvariantViolation("right supplements break the twist formulas")
+    if view.left_supp != tuple(x + n for x in right_twist) + _inverse(left_twist):
+        raise InvariantViolation("left supplements break the twist formulas")
+    if tuple(view.ll(a) for a in range(n)) != tuple(twist):
+        raise InvariantViolation("double left supplement differs from the twist")
+
+
 def _definedness_transfer(g: FiniteGpea, gamma: Sequence[int]) -> bool:
     return all(
         g.defined(gamma[a], b) == g.defined(b, a)
@@ -103,7 +162,7 @@ def enumerate_unitizing(g: FiniteGpea) -> list[tuple[int, ...]]:
     """All unitizing automorphisms, in lexicographic order."""
     return [
         phi
-        for phi in find_morphisms(g, g, "auto")
+        for phi in find_morphisms(g, g)
         if _definedness_transfer(g, phi)
     ]
 
@@ -155,10 +214,7 @@ class UnitizationAlgebra:
 
     @property
     def gamma_inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.gamma)
-        for i, j in enumerate(self.gamma):
-            inv[j] = i
-        return tuple(inv)
+        return _inverse(self.gamma)
 
     def __repr__(self) -> str:
         return (
@@ -197,27 +253,7 @@ def _check_unitization(ua: UnitizationAlgebra) -> None:
             if ut[(a + n) * big + b + n] != big:
                 fail("mirror elements must never compose", a + n, b + n)
 
-    view = u.pea
-    if view.unit != n:
-        raise InvariantViolation("unit of the extension must be the mirror of 0")
-    inv = ua.gamma_inverse
-    for a in range(n):
-        if view.right_supp[a] != a + n:
-            raise InvariantViolation(
-                f"right supplement of base element {a} is not its mirror"
-            )
-        if view.left_supp[a] != gamma[a] + n:
-            raise InvariantViolation(
-                f"left supplement of base element {a} is not the mirror of its twist"
-            )
-        if view.ll(a) != gamma[a]:
-            raise InvariantViolation(
-                f"double left supplement differs from the twist at {a}"
-            )
-        if view.left_supp[a + n] != a or view.right_supp[a + n] != inv[a]:
-            raise InvariantViolation(
-                f"supplements of mirror element {a + n} are inconsistent"
-            )
+    _check_supplements(u, tuple(range(n)), gamma, gamma)
 
     flags = classify_subset(u, range(n))
     if not (flags.ideal and flags.normal):
@@ -243,19 +279,7 @@ def gamma_unitize(g: FiniteGpea, gamma: Sequence[int]) -> UnitizationAlgebra:
     perm = _permutation(g, gamma)
     if not is_unitizing(g, perm):
         raise MalformedTableError("gamma is not a unitizing automorphism of the base")
-    n = g.size
-    op = {(a, b): s for a, b, s in g.sums}
-    for a in range(n):
-        for b in range(n):
-            c = g.right_subtraction(a, b)
-            if c is not None:
-                op[(a, b + n)] = c + n
-            c = g.left_subtraction(perm[b], a)
-            if c is not None:
-                op[(a + n, b)] = c + n
-    names = {i: g.name(i) for i in range(n)}
-    names.update({i + n: "η" + g.name(i) for i in range(n)})
-    extension = FiniteGpea(2 * n, op, names).validate()
+    extension = _mirror_pasting(g, tuple(range(g.size)), perm).validate()
     return UnitizationAlgebra(base=g, gamma=perm, algebra=extension)
 
 

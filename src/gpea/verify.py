@@ -402,10 +402,13 @@ def _verify_congruence(
                 tallies["normal_ideal_membership"].check(
                     f"{ilabel}: witness={verdict.witness}", verdict.passed
                 )
+            # The induced relation, or why there is none; a Riesz ideal has R1.
+            rel: Partition | NotEquivalenceError | None = None
             if flags.normal and flags.r1:
                 try:
                     rel = sim_from_ideal(g, members)
                 except NotEquivalenceError as exc:
+                    rel = exc
                     tallies["r1_ideal_relation"].check(f"{ilabel}: {exc}", False)
                 else:
                     rflags = classify_relation(g, rel)
@@ -420,7 +423,9 @@ def _verify_congruence(
                     )
             if flags.normal and flags.riesz:
                 try:
-                    quotient(g, sim_from_ideal(g, members))
+                    if isinstance(rel, NotEquivalenceError):
+                        raise rel
+                    quotient(g, rel)
                 except AlgebraError as exc:
                     tallies["riesz_ideal_quotient"].check(f"{ilabel}: {exc}", False)
                 else:
@@ -432,7 +437,8 @@ def _verify_congruence(
                         flags.r1 == flags.riesz,
                     )
                 if flags.normal and flags.riesz:
-                    rel = sim_from_ideal(g, members)
+                    if isinstance(rel, NotEquivalenceError):
+                        raise rel
                     tallies["upward_ideal_riesz_congruence"].check(
                         ilabel, classify_relation(g, rel).riesz_congruence
                     )

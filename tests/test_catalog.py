@@ -92,11 +92,19 @@ def test_builtin_expressions():
         "chain(2",
         "product(chain(1))",
         "chain(1)x",
+        "chain(²)",
+        "chain(-)",
+        "chain(1-2)",
     ],
 )
 def test_builtin_rejects_malformed_expressions(text):
     with pytest.raises(MalformedTableError):
         builtin(text)
+
+
+def test_builtin_quotes_the_trailing_input_of_a_spaced_expression():
+    with pytest.raises(MalformedTableError, match=r"after builtin: 'junk'$"):
+        builtin("product( chain(1), chain(2) )junk")
 
 
 # --------------------------------------------------------------- table format
@@ -141,6 +149,10 @@ def test_parse_reports_one_based_line_numbers():
         ("gpea 1\nn 2\nop 0 1 0\n", "line 3"),  # contradicts neutrality
         ("gpea 1\nn 2\nfrob 1\n", "line 3"),
         ("gpea 1\n", "line 1"),  # no 'n' directive at all
+        # Digits that str.isdigit accepts but int() rejects.
+        ("gpea 1\nn ²\n", "line 2"),
+        ("gpea 1\nn 2\nname ¹ x\n", "line 3"),
+        ("gpea 1\nn 3\nop 1 ¹ 2\n", "line 3"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError, match=fragment):
@@ -180,7 +192,7 @@ def test_enumerated_tables_are_valid_and_pairwise_nonisomorphic(
             assert g.size == n
         for i, g in enumerate(algebras):
             for h in algebras[i + 1 :]:
-                assert not find_morphisms(g, h, "iso")
+                assert not find_morphisms(g, h)
 
 
 def test_enumeration_matches_naive_count_on_small_sizes(enumerated_by_size):
@@ -262,7 +274,7 @@ def test_search_at_size_five_counts_every_labelling_once():
     tables = list(catalog._search_tables(5))
     keys = {g.table_key() for g in tables}
     labellings = sum(
-        math.factorial(4) // len(find_morphisms(g, g, "iso")) for g in classes
+        math.factorial(4) // len(find_morphisms(g, g)) for g in classes
     )
     assert labellings == len(tables) == len(keys) == 181
     assert {_canonical_key(g) for g in tables} == {

@@ -454,6 +454,17 @@ GOLDEN = Path(__file__).parent / "golden"
         (["enumerate", "--size", "5"], 0, "enumerate-size-5.txt"),
         (["verify", "all", "--budget", "4"], 1, "verify-all-budget-4.txt"),
         (["verify", "all", "--budget", "5"], 1, "verify-all-budget-5.txt"),
+        (
+            ["kite", "--base", "chain(1)", "--index", "3", "--lambda", "1,2,0", "--rho", "1,2,0"],
+            0,
+            "kite-chain1-index3-cycle.txt",
+        ),
+        (
+            ["kite", "--base", "chain(2)", "--index", "2", "--lambda", "1,0", "--rho", "1,0"],
+            0,
+            "kite-chain2-index2-swap.txt",
+        ),
+        (["unitize", "fig1", "--gamma", "0,2,1,3,5,4"], 0, "unitize-fig1.txt"),
     ],
 )
 def test_output_matches_golden_file(capsys, argv, code, golden):

@@ -20,6 +20,7 @@ from gpea import (
     enumerate_gpeas,
     extended_cancellation_witness,
     element_budget,
+    enumerate_unitizing,
     fig1,
     find_morphisms,
     gamma_unitize,
@@ -232,7 +233,7 @@ def test_no_unit_raises(fig1_algebra):
 
 def test_fig1_automorphisms(fig1_algebra):
     f = fig1_algebra
-    autos = find_morphisms(f, f, "iso")
+    autos = find_morphisms(f, f)
     assert autos == [(0, 1, 2, 3, 4, 5), (0, 2, 1, 3, 5, 4)]
     for perm in autos:
         assert is_isomorphism(f, f, perm)
@@ -288,22 +289,27 @@ def test_is_isomorphism_rejects_a_collapsing_map():
     assert is_isomorphism(g, g, (0, 2, 1))
 
 
-def test_morphism_modes():
-    assert find_morphisms(chain(2), chain(2), "auto") == [(0, 1, 2)]
-    with pytest.raises(ValueError):
-        find_morphisms(chain(1), chain(1), "mono")
-    with pytest.raises(NoUnitError):
-        find_morphisms(fig1(), fig1(), "pea_iso")
-
-
-def test_pea_iso_mode_finds_unit_preserving_isomorphisms():
-    found = find_morphisms(boolean(2), boolean(2), "pea_iso")
-    assert found == [(0, 1, 2, 3), (0, 2, 1, 3)]
-    assert find_morphisms(chain(3), boolean(2), "pea_iso") == []
-    u = gamma_unitize(boolean(2), (0, 1, 2, 3)).algebra
-    found = find_morphisms(u, u, "pea_iso")
-    assert len(found) == 6 and all(phi[4] == 4 for phi in found)
-    assert found == find_morphisms(u, u, "auto")
+def test_isomorphisms_between_unital_algebras_fix_the_unit():
+    # An isomorphism preserves the induced order, so it maps top to top.
+    assert find_morphisms(boolean(2), boolean(2)) == [(0, 1, 2, 3), (0, 2, 1, 3)]
+    assert find_morphisms(chain(3), boolean(2)) == []
+    unital = [g for n in range(1, 6) for g in enumerate_gpeas(n)]
+    unital += [
+        gamma_unitize(g, gamma).algebra
+        for g in list(unital)
+        for gamma in enumerate_unitizing(g)
+    ]
+    checked = 0
+    for p in unital:
+        if not p.flags.has_unit:
+            continue
+        # Relabelled by rotating 1..n-1, so that a nonzero unit moves.
+        q = p.relabel([0] + [x % (p.size - 1) + 1 for x in range(1, p.size)])
+        assert p.size <= 2 or q.pea.unit != p.pea.unit
+        for phi in find_morphisms(p, q):
+            assert phi[p.pea.unit] == q.pea.unit
+            checked += 1
+    assert checked == 999  # the automorphisms of the 64 unital algebras
 
 
 # --------------------------------------------------------------------- budget

@@ -266,7 +266,7 @@ def test_gcr_forms_agree_on_identity(fig1_algebra):
 
 def test_quotient_by_identity_is_isomorphic(fig1_algebra):
     q = quotient(fig1_algebra, Partition.identity(6))
-    assert find_morphisms(fig1_algebra, q, "iso")
+    assert find_morphisms(fig1_algebra, q)
 
 
 def test_quotient_of_fig1_by_block_relation_is_the_antichain(fig1_algebra):

@@ -18,6 +18,11 @@ or two pairs toggled, so that every raise and its witness is compared),
 the existence criterion of the unital identities (also with one entry
 of a supplement map overwritten), and the clause loop of the unit-extension contract
 (also on extensions stored with the wrong twist or relabelled).
+
+The table builders are compared with the loops they replaced: the
+tuple-walking power, the per-coordinate kite clauses and the
+subtraction-method loop of the unit extension must give the same table
+and names as the one mirror-pasting kernel.
 """
 
 from __future__ import annotations
@@ -31,9 +36,12 @@ from hypothesis import assume, given, settings, strategies as st
 from gpea import (
     FiniteGpea,
     InvariantViolation,
+    KiteAlgebra,
     KiteSpec,
+    PowerGpea,
     UnitizationAlgebra,
     build_kite,
+    builtin,
     chain,
     check_kc,
     classify_subset,
@@ -41,6 +49,7 @@ from gpea import (
     enumerate_unitizing,
     gamma_unitize,
     ideal_closure,
+    power_gpea,
     rdp_profile,
     validate_axioms,
 )
@@ -523,3 +532,155 @@ def test_unitization_clauses_match_the_value_loop_on_corrupted_extensions():
                 else:
                     assert got is None or not any(c in got for c in clauses), got
     assert clause_failures > 0
+
+
+# ---------------------------------------------------------------------------
+# Table builders
+# ---------------------------------------------------------------------------
+
+
+def tuple_power_gpea(p: FiniteGpea, k: int) -> PowerGpea:
+    """Build ``p^k`` with the coordinatewise partial operation."""
+    tuples = tuple(itertools.product(range(p.size), repeat=k))
+    op: dict[tuple[int, int], int] = {}
+    for s, a in enumerate(tuples):
+        for t, b in enumerate(tuples):
+            total = 0
+            for x, y in zip(a, b):
+                v = p.value(x, y)
+                if v is None:
+                    break
+                total = total * p.size + v
+            else:
+                op[(s, t)] = total
+    names = ["(" + ",".join(p.name(x) for x in t) + ")" for t in tuples]
+    algebra = FiniteGpea(p.size**k, op, names).validate()
+    return PowerGpea(base=p, index_size=k, algebra=algebra, tuples=tuples)
+
+
+def coordinatewise_paste(
+    spec: KiteSpec, power: PowerGpea, gamma: tuple[int, ...]
+) -> KiteAlgebra:
+    """The kite table over a built power; the caller has checked the spec."""
+    m = power.algebra.size
+    p = spec.base
+    k = spec.index_size
+    op = {(a, b): s for a, b, s in power.algebra.sums}
+    for s, a in enumerate(power.tuples):
+        for t, b in enumerate(power.tuples):
+            mixed = []
+            for i in range(k):
+                x, y = a[spec.lam[i]], b[i]
+                if not p.le(x, y):
+                    break
+                mixed.append(p.right_subtraction(x, y))
+            else:
+                op[(s, t + m)] = power.index_of(tuple(mixed)) + m
+            mixed = []
+            for i in range(k):
+                x, y = b[spec.rho[i]], a[i]
+                if not p.le(x, y):
+                    break
+                mixed.append(p.left_subtraction(x, y))
+            else:
+                op[(s + m, t)] = power.index_of(tuple(mixed)) + m
+    names = [power.algebra.name(t) for t in range(m)]
+    names += ["η" + power.algebra.name(t) for t in range(m)]
+    algebra = FiniteGpea(2 * m, op, names).validate()
+    return KiteAlgebra(spec=spec, power=power, gamma=gamma, algebra=algebra)
+
+
+def subtraction_unitize(g: FiniteGpea, perm: tuple[int, ...]) -> FiniteGpea:
+    """The unit extension's table, built with the subtraction methods."""
+    n = g.size
+    op = {(a, b): s for a, b, s in g.sums}
+    for a in range(n):
+        for b in range(n):
+            c = g.right_subtraction(a, b)
+            if c is not None:
+                op[(a, b + n)] = c + n
+            c = g.left_subtraction(perm[b], a)
+            if c is not None:
+                op[(a + n, b)] = c + n
+    names = {i: g.name(i) for i in range(n)}
+    names.update({i + n: "η" + g.name(i) for i in range(n)})
+    return FiniteGpea(2 * n, op, names).validate()
+
+
+def same_table_and_names(g: FiniteGpea, h: FiniteGpea) -> bool:
+    names = [g.name(i) for i in g.elements]
+    return g.same_table(h) and names == [h.name(i) for i in h.elements]
+
+
+def kite_specs(height: int, k: int, pairs) -> list[tuple[str, KiteSpec]]:
+    return [
+        (f"chain({height}):k={k}:lam={lam}:rho={rho}", KiteSpec(chain(height), k, lam, rho))
+        for lam, rho in pairs
+    ]
+
+
+def spec_pool() -> list[tuple[str, KiteSpec]]:
+    """The verify grid; chain(3) at index 3 (128 elements) and chain(1) at
+    index 5 with lam = rho a 5-cycle (64 elements); and every spec over the
+    one-element base with lam != rho, the only buildable specs whose two
+    reindexings differ."""
+    cycle = (1, 2, 3, 4, 0)
+    pool = list(KITES)
+    pool += kite_specs(3, 3, [(p, p) for p in itertools.permutations(range(3))])
+    pool += kite_specs(1, 5, [(cycle, cycle)])
+    for k in (2, 3):
+        perms = list(itertools.permutations(range(k)))
+        pairs = [(lam, rho) for lam in perms for rho in perms if lam != rho]
+        pool += kite_specs(0, k, pairs)
+    return pool
+
+
+SPECS = spec_pool()
+
+
+@pytest.mark.parametrize("spec", [s for _, s in SPECS], ids=[label for label, _ in SPECS])
+def test_power_and_kite_match_the_coordinatewise_loops(spec):
+    assert check_kc(spec).kci
+    power = power_gpea(spec.base, spec.index_size)
+    reference = tuple_power_gpea(spec.base, spec.index_size)
+    assert same_table_and_names(power.algebra, reference.algebra)
+    assert power.tuples == reference.tuples
+    kite = build_kite(spec)
+    expected = coordinatewise_paste(spec, reference, kite.gamma)
+    assert same_table_and_names(kite.algebra, expected.algebra)
+
+
+def test_powers_of_every_small_algebra_match_the_tuple_walk():
+    """Squares of every algebra of size at most 5, one of them not
+    commutative, and cubes of those up to size 3."""
+    for g in ENUMERATED:
+        for k in (2, 3) if g.size <= 3 else (2,):
+            power = power_gpea(g, k)
+            assert same_table_and_names(power.algebra, tuple_power_gpea(g, k).algebra)
+    n = 5
+    assert any(
+        g.table[a * n + b] != g.table[b * n + a]
+        for g in ENUMERATED
+        if g.size == n
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+# The bases of the benchmark's five unit extensions, with their twists.
+BENCH_EXTENSIONS = [
+    ("chain(2)", (0, 1, 2)),
+    ("fig1", (0, 2, 1, 3, 5, 4)),
+    ("boolean(3)", tuple(range(8))),
+    ("product(fig1,chain(1))", (0, 1, 4, 5, 2, 3, 6, 7, 10, 11, 8, 9)),
+    ("product(chain(2),product(chain(2),chain(2)))", tuple(range(27))),
+]
+
+
+def test_unit_extensions_match_the_subtraction_loop():
+    pairs = [(g, gamma) for g in ENUMERATED for gamma in enumerate_unitizing(g)]
+    pairs += [(builtin(expr).validate(), gamma) for expr, gamma in BENCH_EXTENSIONS]
+    for g, gamma in pairs:
+        u = gamma_unitize(g, gamma).algebra
+        assert same_table_and_names(u, subtraction_unitize(g, gamma)), (g, gamma)
+    assert len(pairs) > len(BENCH_EXTENSIONS)

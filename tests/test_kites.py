@@ -214,7 +214,7 @@ def test_singleton_kite_over_two_element_chain() -> None:
     # The same data arises as the unit extension of the base along the
     # identity, up to isomorphism.
     extension = gamma_unitize(chain(1), (0, 1))
-    assert find_morphisms(algebra, extension.algebra, mode="iso")
+    assert find_morphisms(algebra, extension.algebra)
 
 
 def test_kite_layout_and_clauses() -> None:

@@ -105,7 +105,7 @@ def assert_store_matches(g: FiniteGpea, calls: list[tuple]) -> None:
 
 def twists_of(g: FiniteGpea) -> list[tuple[int, ...]]:
     """Up to two automorphisms, and a transposition that is not one."""
-    autos = find_morphisms(g, g, "auto")
+    autos = find_morphisms(g, g)
     out = autos[-2:]
     for x, y in itertools.combinations(range(g.size), 2):
         perm = list(range(g.size))
@@ -203,7 +203,7 @@ def call_sequences(draw):
     found = enumerate_ideals(copy_of(g))
     element = st.integers(min_value=0, max_value=n - 1)
     subset = st.frozensets(element)
-    gamma = st.none() | st.sampled_from(find_morphisms(g, g, "auto")) | st.permutations(
+    gamma = st.none() | st.sampled_from(find_morphisms(g, g)) | st.permutations(
         range(n)
     ).map(tuple)
     relation = st.lists(element, min_size=n, max_size=n).map(Partition.from_block_of)

@@ -57,7 +57,7 @@ def test_automorphism_failing_definedness_transfer_is_not_unitizing():
     # In this table 1+1 is defined but 3+3 is its only mirror image under
     # the swap, and 3+1 is undefined, so the transfer condition breaks.
     g = enumerate_gpeas(4)[1]
-    assert find_morphisms(g, g, "iso") == [(0, 1, 2, 3), (0, 3, 2, 1)]
+    assert find_morphisms(g, g) == [(0, 1, 2, 3), (0, 3, 2, 1)]
     assert is_unitizing(g, (0, 3, 2, 1)) is False
     assert enumerate_unitizing(g) == [(0, 1, 2, 3)]
 
@@ -157,7 +157,7 @@ def test_base_is_a_normal_maximal_proper_ideal(fig1_algebra):
 def test_two_element_extension_is_the_square():
     ua = gamma_unitize(chain(1), (0, 1))
     assert ua.algebra.size == 4
-    assert find_morphisms(ua.algebra, boolean(2), "iso")
+    assert find_morphisms(ua.algebra, boolean(2))
 
 
 # ----------------------------------------------------------------- recognition
@@ -302,7 +302,7 @@ def test_quotient_extension_square_on_the_boolean_table():
     b = boolean(2)
     rel = sim_from_ideal(b, {0, 2})
     q = quotient(b, rel)
-    assert q.size == 2 and find_morphisms(q, chain(1), "iso")
+    assert q.size == 2 and find_morphisms(q, chain(1))
     verdict = quotient_unitization(gamma_unitize(b, (0, 1, 2, 3)), rel)
     assert verdict.passed
     assert verdict.gamma_tilde == (0, 1)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from gpea import chain, fig1, product
+import gpea.verify
+from gpea import NotEquivalenceError, chain, fig1, product
 from gpea.verify import (
     DEFAULT_ENUMERATION_BUDGET,
     SCOPES,
@@ -178,3 +179,40 @@ def test_runs_are_deterministic(budget2_report):
 def test_every_statement_quantifies_over_something(budget2_report):
     for result in budget2_report.results:
         assert result.instances > 0
+
+
+def test_congruence_scope_induces_each_relation_once(monkeypatch):
+    calls = []
+    induce = gpea.verify.sim_from_ideal
+
+    def counted(g, members):
+        calls.append((id(g), frozenset(members)))
+        return induce(g, members)
+
+    monkeypatch.setattr(gpea.verify, "sim_from_ideal", counted)
+    run_verify("congruence", BUDGET)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_relation_that_is_no_equivalence_keeps_its_outcomes(monkeypatch):
+    """On an instance that is not upward directed the failure is witnessed
+    by both statements about the relation; on an upward-directed one it
+    propagates."""
+    induce = gpea.verify.sim_from_ideal
+
+    def intransitive(upward):
+        def fake(g, members):
+            if g.flags.upward_directed == upward:
+                raise NotEquivalenceError("not transitive")
+            return induce(g, members)
+
+        return fake
+
+    monkeypatch.setattr(gpea.verify, "sim_from_ideal", intransitive(False))
+    by_name = {r.name: r for r in run_verify("congruence", BUDGET).results}
+    for name in ("r1_ideal_relation", "riesz_ideal_quotient"):
+        assert by_name[name].failures > 0
+        assert by_name[name].witnesses[0].endswith(": not transitive")
+    monkeypatch.setattr(gpea.verify, "sim_from_ideal", intransitive(True))
+    with pytest.raises(NotEquivalenceError, match="not transitive"):
+        run_verify("congruence", BUDGET)
