@@ -21,202 +21,21 @@ algebras as finite partial-operation tables and provides:
   surfaced through the ``gpea`` command line (:mod:`gpea.cli`).
 """
 
-from .core import (
-    AXIOMS,
-    AlgebraError,
-    AxiomReport,
-    BudgetExceededError,
-    FiniteGpea,
-    InvalidAlgebraError,
-    InvariantViolation,
-    MalformedTableError,
-    NoUnitError,
-    NotValidatedError,
-    OrderRelation,
-    PeaView,
-    StructureFlags,
-    classify,
-    element_budget,
-    extended_cancellation_witness,
-    find_morphisms,
-    induced_order,
-    is_isomorphism,
-    pea_view,
-    subtract,
-    validate_axioms,
-)
-from .ideals import (
-    CongruenceFlags,
-    IdealFlags,
-    LemmaVerdict,
-    NotEquivalenceError,
-    Partition,
-    RoundtripVerdict,
-    all_partitions,
-    classify_relation,
-    classify_subset,
-    congruences,
-    enumerate_ideals,
-    gcr_condition,
-    ideal_closure,
-    normal_ideal_lemmas,
-    normal_riesz_ideals,
-    quotient,
-    riesz_congruence_roundtrip,
-    sim_from_ideal,
-    smallest_normal_riesz_ideal,
-)
-from .unitization import (
-    Recognition,
-    SmallestIdealComparison,
-    SuiteReport,
-    TwoValuedState,
-    UnitizationAlgebra,
-    base_ideal_is_riesz_iff_upward,
-    congruence_suite,
-    enumerate_unitizing,
-    extend_congruence,
-    gamma_unitize,
-    is_unitizing,
-    lift_congruence_biconditional,
-    quotient_unitization,
-    recognize_unitization,
-    restriction_verdict,
-    smallest_ideal_comparison,
-    two_valued_states,
-)
-from .kites import (
-    ConnectivityReport,
-    KcVerdict,
-    KiteAlgebra,
-    KiteIsoReport,
-    KiteSpec,
-    PowerGpea,
-    build_kite,
-    check_kc,
-    index_connectivity,
-    kite_gamma,
-    kite_iso,
-    power_gpea,
-)
-from .rdp import RdpProfile, TransferReport, rdp_profile, rdp_transfer
-from .catalog import (
-    ParseError,
-    WindowSpotCheck,
-    boolean,
-    builtin,
-    chain,
-    count_gpeas_naive,
-    enumerate_gpeas,
-    fig1,
-    parse,
-    product,
-    serialize,
-    twisted_window,
-)
-from .verify import (
-    TheoremResult,
-    VerifyReport,
-    run_verify,
-    standard_instances,
-)
+from . import catalog, core, ideals, kites, rdp, unitization, verify
+from .core import *
+from .ideals import *
+from .unitization import *
+from .kites import *
+from .rdp import *
+from .catalog import *
+from .verify import *
 
 __all__ = [
-    # core
-    "AXIOMS",
-    "AlgebraError",
-    "AxiomReport",
-    "BudgetExceededError",
-    "FiniteGpea",
-    "InvalidAlgebraError",
-    "InvariantViolation",
-    "MalformedTableError",
-    "NoUnitError",
-    "NotValidatedError",
-    "OrderRelation",
-    "PeaView",
-    "StructureFlags",
-    "classify",
-    "element_budget",
-    "extended_cancellation_witness",
-    "find_morphisms",
-    "induced_order",
-    "is_isomorphism",
-    "pea_view",
-    "subtract",
-    "validate_axioms",
-    # ideals
-    "CongruenceFlags",
-    "IdealFlags",
-    "LemmaVerdict",
-    "NotEquivalenceError",
-    "Partition",
-    "RoundtripVerdict",
-    "all_partitions",
-    "classify_relation",
-    "classify_subset",
-    "congruences",
-    "enumerate_ideals",
-    "gcr_condition",
-    "ideal_closure",
-    "normal_ideal_lemmas",
-    "normal_riesz_ideals",
-    "quotient",
-    "riesz_congruence_roundtrip",
-    "sim_from_ideal",
-    "smallest_normal_riesz_ideal",
-    # unitization
-    "Recognition",
-    "SmallestIdealComparison",
-    "SuiteReport",
-    "TwoValuedState",
-    "UnitizationAlgebra",
-    "congruence_suite",
-    "enumerate_unitizing",
-    "base_ideal_is_riesz_iff_upward",
-    "extend_congruence",
-    "gamma_unitize",
-    "is_unitizing",
-    "lift_congruence_biconditional",
-    "quotient_unitization",
-    "recognize_unitization",
-    "restriction_verdict",
-    "smallest_ideal_comparison",
-    "two_valued_states",
-    # kites
-    "ConnectivityReport",
-    "KcVerdict",
-    "KiteAlgebra",
-    "KiteIsoReport",
-    "KiteSpec",
-    "PowerGpea",
-    "build_kite",
-    "check_kc",
-    "index_connectivity",
-    "kite_gamma",
-    "kite_iso",
-    "power_gpea",
-    # rdp
-    "RdpProfile",
-    "TransferReport",
-    "rdp_profile",
-    "rdp_transfer",
-    # catalog
-    "ParseError",
-    "WindowSpotCheck",
-    "boolean",
-    "builtin",
-    "chain",
-    "count_gpeas_naive",
-    "enumerate_gpeas",
-    "fig1",
-    "parse",
-    "product",
-    "serialize",
-    "twisted_window",
-    # verify
-    "TheoremResult",
-    "VerifyReport",
-    "run_verify",
-    "standard_instances",
+    *core.__all__,
+    *ideals.__all__,
+    *unitization.__all__,
+    *kites.__all__,
+    *rdp.__all__,
+    *catalog.__all__,
+    *verify.__all__,
 ]

@@ -45,9 +45,9 @@ from .ideals import (
     NotEquivalenceError,
     classify_subset,
     enumerate_ideals,
-    least_ideal,
     quotient,
     sim_from_ideal,
+    smallest_normal_riesz_ideal,
 )
 from .kites import KiteSpec, _KitePower, check_kc
 from .rdp import rdp_profile
@@ -155,7 +155,6 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
     g = _load_valid(args.file)
     gamma = _parse_permutation(args.gamma) if args.gamma else None
     count = 0
-    family = []  # under --riesz, filtered as normal_riesz_ideals filters it
     for members in enumerate_ideals(g):
         flags = classify_subset(g, members, gamma)
         if args.normal and not flags.normal:
@@ -165,15 +164,11 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
         count += 1
         text = " ".join(f"{k}={str(v).lower()}" for k, v in flags.items() if v is not None)
         print(f"IDEAL {_subset_text(members)} {text}")
-        if (
-            members != frozenset({0})
-            and (gamma is None or flags.gamma_closed)
-            and not (args.exclude_improper and len(members) == g.size)
-        ):
-            family.append(members)
     print(f"RESULT count={count}")
     if args.riesz:
-        smallest = least_ideal(family)
+        smallest = smallest_normal_riesz_ideal(
+            g, gamma, include_improper=not args.exclude_improper
+        )
         value = "none" if smallest is None else _subset_text(smallest)
         print(f"RESULT smallest={value}")
     return 0
@@ -216,10 +211,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
             f"{_subset_text(members)} induces no equivalence: {exc}"
         ) from exc
     q = quotient(g, rel)
-    summary = [
-        "BLOCK " + _subset_text(block)
-        for block in sorted(rel.blocks, key=min)
-    ]
+    summary = ["BLOCK " + _subset_text(block) for block in rel.blocks]
     summary.append(f"RESULT blocks={len(rel.blocks)}")
     _emit_table(q, args.output, summary)
     return 0

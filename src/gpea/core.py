@@ -39,6 +39,7 @@ __all__ = [
     "extended_cancellation_witness",
     "find_morphisms",
     "induced_order",
+    "is_isomorphism",
     "pea_view",
     "subtract",
     "validate_axioms",

@@ -49,6 +49,7 @@ __all__ = [
     "congruences",
     "enumerate_ideals",
     "gcr_condition",
+    "ideal_closure",
     "normal_ideal_lemmas",
     "normal_riesz_ideals",
     "quotient",
@@ -358,13 +359,13 @@ class Partition:
         return f"Partition({body})"
 
 
-def all_partitions(n: int) -> Iterator[Partition]:
-    """Every partition of ``0 .. n-1``, by restricted growth strings."""
+def _growth_strings(n: int) -> Iterator[list[int]]:
+    """Every restricted-growth string of length ``n``, in one reused list."""
     labels = [0] * n
 
-    def rec(i: int, maxlab: int) -> Iterator[Partition]:
+    def rec(i: int, maxlab: int) -> Iterator[list[int]]:
         if i == n:
-            yield Partition.from_block_of(labels)
+            yield labels
             return
         for lab in range(maxlab + 2):
             labels[i] = lab
@@ -373,6 +374,11 @@ def all_partitions(n: int) -> Iterator[Partition]:
     if n == 0:
         return
     yield from rec(1, 0)
+
+
+def all_partitions(n: int) -> Iterator[Partition]:
+    """Every partition of ``0 .. n-1``, by restricted growth strings."""
+    return map(Partition.from_block_of, _growth_strings(n))
 
 
 # -------------------------------------------------------- relation classifier
@@ -421,17 +427,20 @@ class CongruenceFlags:
         ]
 
 
-def _check_c2(g: FiniteGpea, rel: Partition) -> bool:
-    result_block: dict[tuple[int, int], int] = {}
-    bl = rel.block_of
-    for a, b, s in g.sums:
-        key = (bl[a], bl[b])
-        prev = result_block.get(key)
-        if prev is None:
-            result_block[key] = bl[s]
-        elif prev != bl[s]:
-            return False
-    return True
+def _block_map(pairs: Iterable[tuple[_T, int]]) -> dict[_T, int] | None:
+    """The map ``key -> value`` the pairs spell out, or ``None`` when a key
+    meets two values: whether a relation respects a map, on block labels."""
+    out: dict[_T, int] = {}
+    for key, value in pairs:
+        if out.setdefault(key, value) != value:
+            return None
+    return out
+
+
+def _block_sums(g: FiniteGpea, bl: Sequence[int]) -> dict[tuple[int, int], int] | None:
+    """C2 on block labels: the block of ``a + b`` by the blocks of ``a`` and
+    ``b``, or ``None`` when related summands give unrelated sums."""
+    return _block_map(((bl[a], bl[b]), bl[s]) for a, b, s in g.sums)
 
 
 def _check_c3(g: FiniteGpea, rel: Partition) -> bool:
@@ -451,22 +460,10 @@ def _check_c3(g: FiniteGpea, rel: Partition) -> bool:
 
 def _check_c4(g: FiniteGpea, rel: Partition) -> bool:
     bl = rel.block_of
-    left_partner: dict[tuple[int, int], int] = {}
-    right_partner: dict[tuple[int, int], int] = {}
-    for a, a1, s in g.sums:
-        key = (bl[a], bl[s])
-        prev = left_partner.get(key)
-        if prev is None:
-            left_partner[key] = bl[a1]
-        elif prev != bl[a1]:
-            return False
-        key = (bl[a1], bl[s])
-        prev = right_partner.get(key)
-        if prev is None:
-            right_partner[key] = bl[a]
-        elif prev != bl[a]:
-            return False
-    return True
+    return (
+        _block_map(((bl[a], bl[s]), bl[b]) for a, b, s in g.sums) is not None
+        and _block_map(((bl[b], bl[s]), bl[a]) for a, b, s in g.sums) is not None
+    )
 
 
 def _check_c5(g: FiniteGpea, rel: Partition) -> bool:
@@ -482,12 +479,10 @@ def _check_c5(g: FiniteGpea, rel: Partition) -> bool:
 def _check_c4prime(g: FiniteGpea, rel: Partition) -> bool:
     view = g.pea
     bl = rel.block_of
-    for block in rel.blocks:
-        rs_blocks = {bl[view.right_supp[a]] for a in block}
-        ls_blocks = {bl[view.left_supp[a]] for a in block}
-        if len(rs_blocks) > 1 or len(ls_blocks) > 1:
-            return False
-    return True
+    return all(
+        _block_map((bl[a], bl[supp[a]]) for a in g.elements) is not None
+        for supp in (view.right_supp, view.left_supp)
+    )
 
 
 def _check_c5prime(g: FiniteGpea, rel: Partition) -> bool:
@@ -570,13 +565,16 @@ def gcr_condition(
     return True
 
 
-def _check_gamma_congruence(rel: Partition, gamma: Sequence[int]) -> bool:
+def _block_twist(rel: Partition, gamma: Sequence[int]) -> dict[int, int] | None:
+    """The twist on blocks, or ``None`` when ``gamma`` splits a block.
+
+    A permutation that sends every block into a block sends it onto one:
+    the images of the blocks partition the carrier again, into as many
+    parts as there are blocks, each inside a block, so each block holds
+    exactly one image.  The relation is then twist compatible.
+    """
     bl = rel.block_of
-    for block in rel.blocks:
-        if len({bl[gamma[a]] for a in block}) > 1:
-            return False
-    image_blocks = {frozenset(gamma[a] for a in block) for block in rel.blocks}
-    return image_blocks == set(rel.blocks)
+    return _block_map((bl[a], bl[gamma[a]]) for a in range(rel.size))
 
 
 def classify_relation(
@@ -602,7 +600,7 @@ def classify_relation(
             else None
         ),
         gamma_congruence=(
-            _check_gamma_congruence(rel, gamma) if gamma is not None else None
+            _block_twist(rel, gamma) is not None if gamma is not None else None
         ),
     )
 
@@ -611,7 +609,7 @@ def _relation_flags(g: FiniteGpea, rel: Partition) -> CongruenceFlags:
     """The twist- and GCR-free verdicts of ``rel``: the relation kernel."""
     return CongruenceFlags(
         c1=True,  # partitions are equivalences by construction
-        c2=_check_c2(g, rel),
+        c2=_block_sums(g, rel.block_of) is not None,
         c3=_check_c3(g, rel),
         c4=_check_c4(g, rel),
         c5=_check_c5(g, rel),
@@ -641,47 +639,38 @@ def sim_from_ideal(g: FiniteGpea, members: Iterable[int]) -> Partition:
         raise MalformedTableError("sim_from_ideal requires an ideal")
     mask = _subset_mask(g, members)
     n = g.size
-    inside = [x for x in range(n) if mask >> x & 1]
-    down = g.order.down_masks
 
-    def peels(a: int, use_left: bool) -> frozenset[int]:
-        out = set()
-        for i in inside:
-            if down[a] >> i & 1:
-                r = g.left_subtraction(i, a) if use_left else g.right_subtraction(i, a)
-                out.add(r)
-        return frozenset(out)
+    def relation(peels: Iterable[tuple[int, int]]) -> list[int]:
+        """``related[a]``: the ``b`` sharing a peel with ``a``."""
+        holders = [0] * n  # holders[d]: the a with d among their peels
+        for d, a in peels:
+            holders[d] |= 1 << a
+        related = [0] * n
+        for h in holders:
+            for a in range(n):
+                if h >> a & 1:
+                    related[a] |= h
+        return related
 
-    right_peels = [peels(a, use_left=False) for a in range(n)]
-    related = [[bool(right_peels[a] & right_peels[b]) for b in range(n)] for a in range(n)]
-
-    if flags.normal:
-        left_peels = [peels(a, use_left=True) for a in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if bool(left_peels[a] & left_peels[b]) != related[a][b]:
-                    raise InvariantViolation(
-                        "left- and right-peel relations differ on a normal ideal"
-                    )
+    # d + i == s with i a member makes d a right peel of s; i + d == s a left one.
+    related = relation((d, s) for d, i, s in g.sums if mask >> i & 1)
+    if flags.normal and related != relation(
+        (d, s) for i, d, s in g.sums if mask >> i & 1
+    ):
+        raise InvariantViolation(
+            "left- and right-peel relations differ on a normal ideal"
+        )
 
     for a in range(n):
         for b in range(n):
-            if related[a][b]:
-                for c in range(n):
-                    if related[b][c] and not related[a][c]:
-                        raise NotEquivalenceError(
-                            f"NOT_EQUIVALENCE: transitivity fails at ({a}, {b}, {c})"
-                        )
-
-    labels = [-1] * n
-    fresh = 0
-    for a in range(n):
-        if labels[a] < 0:
-            for b in range(a, n):
-                if related[a][b]:
-                    labels[b] = fresh
-            fresh += 1
-    return Partition.from_block_of(labels)
+            missing = related[b] & ~related[a]
+            if related[a] >> b & 1 and missing:
+                c = (missing & -missing).bit_length() - 1
+                raise NotEquivalenceError(
+                    f"NOT_EQUIVALENCE: transitivity fails at ({a}, {b}, {c})"
+                )
+    # A transitive relation's masks are its classes.
+    return Partition.from_block_of(related)
 
 
 # ------------------------------------------------------------------ quotient
@@ -699,13 +688,9 @@ def quotient(g: FiniteGpea, rel: Partition) -> FiniteGpea:
         raise MalformedTableError(
             "quotient requires a congruence satisfying C4 and C5"
         )
-    bl = rel.block_of
-    table: dict[tuple[int, int], int] = {}
-    for a, b, s in g.sums:
-        key = (bl[a], bl[b])
-        if key in table and table[key] != bl[s]:
-            raise InvariantViolation("quotient table is not well defined")
-        table[key] = bl[s]
+    table = _block_sums(g, rel.block_of)
+    if table is None:
+        raise InvariantViolation("quotient table is not well defined")
     names = {
         i: "{" + ",".join(g.name(x) for x in sorted(block)) + "}"
         for i, block in enumerate(rel.blocks)
@@ -795,8 +780,13 @@ def enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
     ``I``, so ``m`` is adjoined, and the closure of ``I ∪ {m}`` is an ideal
     inside ``J``, larger than ``I``.
     """
+    return list(_ideals(g))
+
+
+def _ideals(g: FiniteGpea) -> tuple[frozenset[int], ...]:
+    """The stored ideal list, read uncopied inside this module."""
     g.require_validated()
-    return list(_stored(g, ("ideals",), lambda: _ideal_sweep(g)))
+    return _stored(g, ("ideals",), lambda: _ideal_sweep(g))
 
 
 def _ideal_sweep(g: FiniteGpea) -> tuple[frozenset[int], ...]:
@@ -841,7 +831,7 @@ def normal_riesz_ideals(
 ) -> list[frozenset[int]]:
     """All normal Riesz ideals but ``{0}``, optionally twist-closed."""
     out = []
-    for members in enumerate_ideals(g):
+    for members in _ideals(g):
         if members == frozenset({0}):
             continue
         if not include_improper and len(members) == g.size:
@@ -897,9 +887,15 @@ def congruences(g: FiniteGpea) -> Iterator[Partition]:
 
 
 def _partition_walk(g: FiniteGpea) -> tuple[Partition, ...]:
-    """Every partition passing C2 and C3, in ``all_partitions`` order."""
-    return tuple(
-        rel
-        for rel in all_partitions(g.size)
-        if _check_c2(g, rel) and _check_c3(g, rel)
-    )
+    """Every partition passing C2 and C3, in ``all_partitions`` order.
+
+    C2 is tested on the labels, so a ``Partition`` is built only for the
+    strings that pass it.
+    """
+    found = []
+    for labels in _growth_strings(g.size):
+        if _block_sums(g, labels) is not None:
+            rel = Partition.from_block_of(labels)
+            if _check_c3(g, rel):
+                found.append(rel)
+    return tuple(found)

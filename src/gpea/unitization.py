@@ -36,6 +36,7 @@ from .core import (
 from .ideals import (
     NotEquivalenceError,
     Partition,
+    _block_twist,
     classify_relation,
     classify_subset,
     enumerate_ideals,
@@ -211,10 +212,6 @@ class UnitizationAlgebra:
     @property
     def mirror_members(self) -> frozenset[int]:
         return frozenset(range(self.base.size, 2 * self.base.size))
-
-    @property
-    def gamma_inverse(self) -> tuple[int, ...]:
-        return _inverse(self.gamma)
 
     def __repr__(self) -> str:
         return (
@@ -693,14 +690,10 @@ def quotient_unitization(
         raise MalformedTableError(
             "requires a twist-compatible congruence with C4 and C5'"
         )
-    bl = rel.block_of
-    gamma_tilde: list[int] = [-1] * len(rel.blocks)
-    for x in g.elements:
-        i, j = bl[x], bl[gamma[x]]
-        if gamma_tilde[i] not in (-1, j):
-            raise InvariantViolation("block twist is not well defined")
-        gamma_tilde[i] = j
-    twist = tuple(gamma_tilde)
+    block_twist = _block_twist(rel, gamma)
+    if block_twist is None:
+        raise InvariantViolation("block twist is not well defined")
+    twist = tuple(block_twist[i] for i in range(len(rel.blocks)))
     q = quotient(g, rel)
     if not is_unitizing(q, twist):
         return QuotientUnitizationVerdict(

@@ -226,8 +226,7 @@ def _subset_label(members) -> str:
 
 
 def _relation_label(rel: Partition) -> str:
-    blocks = sorted(tuple(sorted(b)) for b in rel.blocks)
-    return "|".join(",".join(str(x) for x in b) for b in blocks)
+    return "|".join(",".join(str(x) for x in sorted(b)) for b in rel.blocks)
 
 
 # ---------------------------------------------------------- unitization scope

@@ -23,40 +23,77 @@ The table builders are compared with the loops they replaced: the
 tuple-walking power, the per-coordinate kite clauses and the
 subtraction-method loop of the unit extension must give the same table
 and names as the one mirror-pasting kernel.
+
+The block maps are compared with the per-condition loops they replaced:
+C2, C4, C4′, the quotient table, twist compatibility and the block twist
+of ``quotient_unitization`` on every partition of every algebra of size
+at most 6 and of the unit extensions of those up to size 3, on every
+permutation (not only automorphisms) at size at most 5, and on a
+deterministic ``hypothesis`` stream of labels over the budget-5
+extensions.  The congruence walk is compared with building every
+partition and then filtering, and the bitmask induced relation with the
+peel-set matrix on every ideal of the budget-5 instances and their
+extensions: the same partition, or the same exception type and text.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Iterator
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gpea.ideals
 from gpea import (
+    AlgebraError,
     FiniteGpea,
     InvariantViolation,
     KiteAlgebra,
     KiteSpec,
+    MalformedTableError,
+    NotEquivalenceError,
+    Partition,
     PowerGpea,
     UnitizationAlgebra,
+    all_partitions,
     build_kite,
     builtin,
     chain,
     check_kc,
+    classify_relation,
     classify_subset,
+    congruences,
+    enumerate_gpeas,
     enumerate_ideals,
     enumerate_unitizing,
+    fig1,
     gamma_unitize,
     ideal_closure,
     power_gpea,
+    quotient,
+    quotient_unitization,
     rdp_profile,
+    sim_from_ideal,
+    standard_instances,
     validate_axioms,
 )
 from gpea.core import OrderRelation, _existence_criterion
-from gpea.ideals import _check_r1, _check_r2
+from gpea.ideals import (
+    _block_sums,
+    _block_twist,
+    _check_c3,
+    _check_c4,
+    _check_c4prime,
+    _check_r1,
+    _check_r2,
+    _partition_walk,
+    _subset_mask,
+)
 from gpea.kites import _candidate_maps
 from gpea.rdp import RdpProfile
+from gpea.verify import _unitized_pairs
 from test_table import ENUMERATED, raw_tables
 
 # ---------------------------------------------------------------------------
@@ -684,3 +721,291 @@ def test_unit_extensions_match_the_subtraction_loop():
         u = gamma_unitize(g, gamma).algebra
         assert same_table_and_names(u, subtraction_unitize(g, gamma)), (g, gamma)
     assert len(pairs) > len(BENCH_EXTENSIONS)
+
+
+# ---------------------------------------------------------------------------
+# Block maps: the per-condition loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_check_c2(g: FiniteGpea, rel: Partition) -> bool:
+    result_block: dict[tuple[int, int], int] = {}
+    bl = rel.block_of
+    for a, b, s in g.sums:
+        key = (bl[a], bl[b])
+        prev = result_block.get(key)
+        if prev is None:
+            result_block[key] = bl[s]
+        elif prev != bl[s]:
+            return False
+    return True
+
+
+def loop_check_c4(g: FiniteGpea, rel: Partition) -> bool:
+    bl = rel.block_of
+    left_partner: dict[tuple[int, int], int] = {}
+    right_partner: dict[tuple[int, int], int] = {}
+    for a, a1, s in g.sums:
+        key = (bl[a], bl[s])
+        prev = left_partner.get(key)
+        if prev is None:
+            left_partner[key] = bl[a1]
+        elif prev != bl[a1]:
+            return False
+        key = (bl[a1], bl[s])
+        prev = right_partner.get(key)
+        if prev is None:
+            right_partner[key] = bl[a]
+        elif prev != bl[a]:
+            return False
+    return True
+
+
+def loop_check_c4prime(g: FiniteGpea, rel: Partition) -> bool:
+    view = g.pea
+    bl = rel.block_of
+    for block in rel.blocks:
+        rs_blocks = {bl[view.right_supp[a]] for a in block}
+        ls_blocks = {bl[view.left_supp[a]] for a in block}
+        if len(rs_blocks) > 1 or len(ls_blocks) > 1:
+            return False
+    return True
+
+
+def loop_check_gamma_congruence(rel: Partition, gamma) -> bool:
+    bl = rel.block_of
+    for block in rel.blocks:
+        if len({bl[gamma[a]] for a in block}) > 1:
+            return False
+    image_blocks = {frozenset(gamma[a] for a in block) for block in rel.blocks}
+    return image_blocks == set(rel.blocks)
+
+
+def loop_quotient_table(g: FiniteGpea, rel: Partition) -> dict[tuple[int, int], int]:
+    """``quotient``'s table loop."""
+    bl = rel.block_of
+    table: dict[tuple[int, int], int] = {}
+    for a, b, s in g.sums:
+        key = (bl[a], bl[b])
+        if key in table and table[key] != bl[s]:
+            raise InvariantViolation("quotient table is not well defined")
+        table[key] = bl[s]
+    return table
+
+
+def loop_block_twist(g: FiniteGpea, rel: Partition, gamma) -> tuple[int, ...]:
+    """``quotient_unitization``'s block-twist loop."""
+    bl = rel.block_of
+    gamma_tilde: list[int] = [-1] * len(rel.blocks)
+    for x in g.elements:
+        i, j = bl[x], bl[gamma[x]]
+        if gamma_tilde[i] not in (-1, j):
+            raise InvariantViolation("block twist is not well defined")
+        gamma_tilde[i] = j
+    return tuple(gamma_tilde)
+
+
+def filter_partition_walk(g: FiniteGpea) -> tuple[Partition, ...]:
+    """Every partition built first, then filtered by C2 and C3."""
+    return tuple(
+        rel
+        for rel in all_partitions(g.size)
+        if loop_check_c2(g, rel) and _check_c3(g, rel)
+    )
+
+
+def peel_sim_from_ideal(g: FiniteGpea, members) -> Partition:
+    """``sim_from_ideal`` on peel sets and an n x n relation matrix."""
+    flags = classify_subset(g, members)
+    if not flags.ideal:
+        raise MalformedTableError("sim_from_ideal requires an ideal")
+    mask = _subset_mask(g, members)
+    n = g.size
+    inside = [x for x in range(n) if mask >> x & 1]
+    down = g.order.down_masks
+
+    def peels(a: int, use_left: bool) -> frozenset[int]:
+        out = set()
+        for i in inside:
+            if down[a] >> i & 1:
+                r = g.left_subtraction(i, a) if use_left else g.right_subtraction(i, a)
+                out.add(r)
+        return frozenset(out)
+
+    right_peels = [peels(a, use_left=False) for a in range(n)]
+    related = [[bool(right_peels[a] & right_peels[b]) for b in range(n)] for a in range(n)]
+
+    if flags.normal:
+        left_peels = [peels(a, use_left=True) for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                if bool(left_peels[a] & left_peels[b]) != related[a][b]:
+                    raise InvariantViolation(
+                        "left- and right-peel relations differ on a normal ideal"
+                    )
+
+    for a in range(n):
+        for b in range(n):
+            if related[a][b]:
+                for c in range(n):
+                    if related[b][c] and not related[a][c]:
+                        raise NotEquivalenceError(
+                            f"NOT_EQUIVALENCE: transitivity fails at ({a}, {b}, {c})"
+                        )
+
+    labels = [-1] * n
+    fresh = 0
+    for a in range(n):
+        if labels[a] < 0:
+            for b in range(a, n):
+                if related[a][b]:
+                    labels[b] = fresh
+            fresh += 1
+    return Partition.from_block_of(labels)
+
+
+def outcome(f, *args):
+    """The value of ``f(*args)``, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def assert_relation_maps_match(g: FiniteGpea, rel: Partition) -> None:
+    """C2, C4, C4′ and the quotient table (and, for a congruence with C4
+    and C5, the quotient) agree with the loops."""
+    bl = rel.block_of
+    table = _block_sums(g, bl)
+    assert (table is not None) == loop_check_c2(g, rel), bl
+    assert outcome(loop_quotient_table, g, rel) == (
+        table if table is not None
+        else (InvariantViolation, "quotient table is not well defined")
+    ), bl
+    assert _check_c4(g, rel) == loop_check_c4(g, rel), bl
+    if g.flags.has_unit:
+        assert _check_c4prime(g, rel) == loop_check_c4prime(g, rel), bl
+    flags = classify_relation(g, rel)
+    if flags.congruence and flags.c4 and flags.c5:
+        q = quotient(g, rel)
+        names = {
+            i: "{" + ",".join(g.name(x) for x in sorted(block)) + "}"
+            for i, block in enumerate(rel.blocks)
+        }
+        expected = FiniteGpea(len(rel.blocks), loop_quotient_table(g, rel), names)
+        assert same_table_and_names(q, expected.validate()), bl
+
+
+def assert_twist_maps_match(g: FiniteGpea, rel: Partition, gamma) -> None:
+    """Twist compatibility and the block twist agree with the loops."""
+    twist = _block_twist(rel, gamma)
+    assert (twist is not None) == loop_check_gamma_congruence(rel, gamma)
+    assert outcome(loop_block_twist, g, rel, gamma) == (
+        tuple(twist[i] for i in range(len(rel.blocks))) if twist is not None
+        else (InvariantViolation, "block twist is not well defined")
+    )
+
+
+def assert_walk_matches(g: FiniteGpea) -> None:
+    assert _partition_walk(g) == filter_partition_walk(g)
+    for rel in all_partitions(g.size):
+        assert_relation_maps_match(g, rel)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+def test_block_maps_on_every_partition_of_every_small_algebra(size):
+    algebras = enumerate_gpeas(size)
+    for g in algebras:
+        assert_walk_matches(g)
+    assert any(g.flags.has_unit for g in algebras)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_block_twist_under_every_permutation(size):
+    """Not only automorphisms: every permutation of the carrier."""
+    g = chain(size - 1)
+    for rel in all_partitions(size):
+        for gamma in itertools.permutations(range(size)):
+            assert_twist_maps_match(g, rel, gamma)
+
+
+def test_block_maps_on_the_unit_extensions_of_algebras_up_to_size_three():
+    pairs = [(g, gamma) for g in ENUMERATED if g.size <= 3 for gamma in enumerate_unitizing(g)]
+    for g, gamma in pairs:
+        ua = gamma_unitize(g, gamma)
+        assert_walk_matches(ua.algebra)
+        for rel in all_partitions(g.size):
+            assert_twist_maps_match(g, rel, ua.gamma)
+            flags = classify_relation(g, rel, gamma=ua.gamma)
+            if flags.congruence and flags.gamma_congruence and flags.c4 and flags.c5prime:
+                verdict = quotient_unitization(ua, rel)
+                assert verdict.gamma_tilde == loop_block_twist(g, rel, ua.gamma)
+    assert len(pairs) > 3
+
+
+BUDGET_FIVE_PAIRS = _unitized_pairs(standard_instances(5))
+
+
+@st.composite
+def extension_labels(draw):
+    """A budget-5 unit extension with labels for its carrier and its base."""
+    ua = draw(st.sampled_from(BUDGET_FIVE_PAIRS)).extension
+    n, k = ua.algebra.size, ua.base.size
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return ua, labels
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(extension_labels())
+def test_block_maps_on_random_labels_over_budget_five_extensions(drawn):
+    ua, labels = drawn
+    assert_relation_maps_match(ua.algebra, Partition.from_block_of(labels))
+    base_rel = Partition.from_block_of(labels[: ua.base.size])
+    assert_twist_maps_match(ua.base, base_rel, ua.gamma)
+
+
+def test_walk_builds_partitions_only_for_strings_passing_c2(monkeypatch):
+    g = fig1()
+    passing = sum(loop_check_c2(g, rel) for rel in all_partitions(g.size))
+    built = []
+    init = Partition.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Partition, "__init__", counted)
+    list(congruences(fig1()))
+    assert len(built) == passing < 203  # Bell(6)
+
+
+def test_induced_relation_matches_the_peel_matrix():
+    """Every ideal of every budget-5 instance and of its unit extensions:
+    the same partition, or the same exception type and text."""
+    algebras = [g for _, g in standard_instances(5)]
+    algebras += [p.extension.algebra for p in BUDGET_FIVE_PAIRS]
+    kinds = set()
+    for g in algebras:
+        for members in enumerate_ideals(g):
+            expected = outcome(peel_sim_from_ideal, g, members)
+            assert outcome(sim_from_ideal, g, members) == expected, (g, members)
+            kinds.add(type(expected))
+    assert kinds == {Partition, tuple}
+
+
+def test_induced_relation_checks_a_forced_normal_flag_alike(monkeypatch):
+    """Every non-normal ideal of the algebras of size at most 5, flagged
+    normal: both compare their left and right relations the same way."""
+    flags = {}
+    monkeypatch.setattr(gpea.ideals, "classify_subset", lambda g, m: flags[g, m])
+    monkeypatch.setitem(globals(), "classify_subset", lambda g, m: flags[g, m])
+    raised = set()
+    for g in ENUMERATED:
+        for members in enumerate_ideals(g):
+            flags[g, members] = replace(
+                gpea.ideals._subset_flags(g, _subset_mask(g, members)), normal=True
+            )
+            expected = outcome(peel_sim_from_ideal, g, members)
+            assert outcome(sim_from_ideal, g, members) == expected, (g, members)
+            raised.add(expected[0] if isinstance(expected, tuple) else None)
+    assert InvariantViolation in raised

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import gpea.verify
-from gpea import NotEquivalenceError, chain, fig1, product
+from gpea import NotEquivalenceError, all_partitions, chain, fig1, product
 from gpea.verify import (
     DEFAULT_ENUMERATION_BUDGET,
     SCOPES,
@@ -216,3 +216,13 @@ def test_relation_that_is_no_equivalence_keeps_its_outcomes(monkeypatch):
     monkeypatch.setattr(gpea.verify, "sim_from_ideal", intransitive(True))
     with pytest.raises(NotEquivalenceError, match="not transitive"):
         run_verify("congruence", BUDGET)
+
+
+def test_relation_label_keeps_the_blocks_in_their_stored_order():
+    """Blocks come ordered by least element, so the label of every
+    partition of size at most 5 is the one the sorted blocks gave."""
+    for n in range(1, 6):
+        for rel in all_partitions(n):
+            blocks = sorted(tuple(sorted(b)) for b in rel.blocks)
+            old = "|".join(",".join(str(x) for x in b) for b in blocks)
+            assert gpea.verify._relation_label(rel) == old
