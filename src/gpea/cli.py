@@ -49,7 +49,7 @@ from .ideals import (
     sim_from_ideal,
     smallest_normal_riesz_ideal,
 )
-from .kites import KiteSpec, _KitePower, check_kc
+from .kites import KiteSpec, build_kite, check_kc, index_connectivity
 from .rdp import rdp_profile
 from .unitization import enumerate_unitizing, gamma_unitize
 from .verify import DEFAULT_ENUMERATION_BUDGET, SCOPES, run_verify
@@ -223,9 +223,8 @@ def _cmd_kite(args: argparse.Namespace) -> int:
     rho = _parse_permutation(args.rho)
     spec = KiteSpec(base, args.index, lam, rho)
     kc = check_kc(spec)
-    kites = _KitePower(base, args.index)
-    built = kites.build_kite(spec)
-    connectivity = kites.index_connectivity(spec)
+    built = build_kite(spec)
+    connectivity = index_connectivity(spec)
     summary = [
         f"RESULT kci={str(kc.kci).lower()}",
         f"RESULT kcii={str(kc.kcii).lower()}",

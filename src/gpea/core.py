@@ -280,9 +280,12 @@ class FiniteGpea:
 
     @cached_property
     def verdicts(self) -> dict[tuple, object]:
-        """The ideals module's store: each subset and relation verdict
-        and each ideal and congruence sweep it computed on this algebra,
-        under a (kind, key) key (see :mod:`gpea.ideals`)."""
+        """The store of derived results, under a (kind, key) key: each
+        subset and relation verdict and each ideal and congruence sweep
+        the ideals module computed on this algebra, and what the kite
+        functions share over it as a base (see :mod:`gpea.ideals` and
+        :mod:`gpea.kites`).  It is read and filled only through
+        ``ideals._stored``."""
         self.require_validated()
         return {}
 

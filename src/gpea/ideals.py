@@ -21,6 +21,9 @@ the quotient are computed on every call: storing them too saved about
 show in its wall time.  Every call still returns a fresh list or
 iterator, and raises as it would without the store; the flags and
 partitions in it are immutable values shared between calls.
+
+The kite functions keep their results for a base in the same store,
+through the same accessor :func:`_stored` (see :mod:`gpea.kites`).
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ _T = TypeVar("_T")
 
 
 def _stored(g: FiniteGpea, key: tuple, compute: Callable[[], _T]) -> _T:
-    """The verdict under ``key`` in ``g``'s store, computed on first use."""
+    """The result under ``key`` in ``g``'s store, computed on first use."""
     store = g.verdicts
     if key not in store:
         store[key] = compute()
@@ -477,12 +480,16 @@ def _check_c5(g: FiniteGpea, rel: Partition) -> bool:
 
 
 def _check_c4prime(g: FiniteGpea, rel: Partition) -> bool:
-    view = g.pea
+    """C4′, on the right supplements alone.
+
+    The left supplement map is the inverse permutation of the right one
+    (``pea_view`` checks that), and a permutation that sends every block
+    into a block sends it onto one (see :func:`_block_twist`), so its
+    inverse respects the blocks too.
+    """
     bl = rel.block_of
-    return all(
-        _block_map((bl[a], bl[supp[a]]) for a in g.elements) is not None
-        for supp in (view.right_supp, view.left_supp)
-    )
+    supp = g.pea.right_supp
+    return _block_map((bl[a], bl[supp[a]]) for a in g.elements) is not None
 
 
 def _check_c5prime(g: FiniteGpea, rel: Partition) -> bool:
@@ -780,13 +787,7 @@ def enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
     ``I``, so ``m`` is adjoined, and the closure of ``I ∪ {m}`` is an ideal
     inside ``J``, larger than ``I``.
     """
-    return list(_ideals(g))
-
-
-def _ideals(g: FiniteGpea) -> tuple[frozenset[int], ...]:
-    """The stored ideal list, read uncopied inside this module."""
-    g.require_validated()
-    return _stored(g, ("ideals",), lambda: _ideal_sweep(g))
+    return list(_stored(g, ("ideals",), lambda: _ideal_sweep(g)))
 
 
 def _ideal_sweep(g: FiniteGpea) -> tuple[frozenset[int], ...]:
@@ -831,7 +832,7 @@ def normal_riesz_ideals(
 ) -> list[frozenset[int]]:
     """All normal Riesz ideals but ``{0}``, optionally twist-closed."""
     out = []
-    for members in _ideals(g):
+    for members in enumerate_ideals(g):
         if members == frozenset({0}):
             continue
         if not include_improper and len(members) == g.size:

@@ -33,18 +33,25 @@ fixing every tuple, and the supplement maps on the kite are given by
 reindexing: ``(a_i)⁻ = (η a_{rho(i)})``, ``(a_i)~ = (η a_{lam(i)})``,
 ``(η a_i)⁻ = (a_{lam⁻¹(i)})``, ``(η a_i)~ = (a_{rho⁻¹(i)})``.
 
-Every entry point runs on one ``_KitePower`` per (base, index size),
-which does each piece of work once per twist or per spec, and carries
-the RDP₁ verdict and normal Riesz ideals of a twist's first kite to its
-other kites through two such isomorphisms, both checked.
+Every entry point keeps what it shares in the base's ``verdicts`` store
+(see :attr:`FiniteGpea.verdicts`), so each piece of work is done once per
+base: the power per index size (key ``("power", k)``); per twist
+(``spec.twist_indices``) the reindexing permutation and its unitizing
+verdict (``"twist"``), the orbits with their support check
+(``"orbits"``), the unit extension (``"extension"``), the twist's first
+kite (``"first kite"``) and that kite's RDP₁ verdict and normal Riesz
+ideals (``"refinement"``); per spec (``lam``, ``rho``) the kite
+(``"kite"``) and its isomorphism report (``"iso"``).  Calls over one base
+share that work and return the same frozen objects; the RDP₁ verdict and
+ideals of a twist's first kite reach its other kites through two such
+isomorphisms, both checked.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -55,7 +62,7 @@ from .core import (
     element_budget,
     is_isomorphism,
 )
-from .ideals import classify_subset, least_ideal, normal_riesz_ideals
+from .ideals import _stored, classify_subset, least_ideal, normal_riesz_ideals
 from .rdp import rdp_profile
 from .unitization import (
     UnitizationAlgebra,
@@ -171,6 +178,16 @@ def power_gpea(p: FiniteGpea, k: int) -> PowerGpea:
     return power
 
 
+def _power(spec: KiteSpec) -> PowerGpea:
+    """The spec's power, built on first use, so every refusal of a spec
+    comes before it."""
+    return _stored(
+        spec.base,
+        ("power", spec.index_size),
+        lambda: power_gpea(spec.base, spec.index_size),
+    )
+
+
 @dataclass(frozen=True)
 class KcVerdict:
     """Verdicts of the two transfer conditions on a kite specification."""
@@ -207,7 +224,18 @@ def kite_gamma(spec: KiteSpec) -> tuple[int, ...]:
     unitizing automorphism of the power exactly when the first transfer
     condition holds.
     """
-    return _KitePower(spec.base, spec.index_size).kite_gamma(spec)
+
+    def twist() -> tuple[tuple[int, ...], bool]:
+        power = _power(spec)
+        gamma = power.reindexing_permutation(spec.twist_indices)
+        return gamma, is_unitizing(power.algebra, gamma)
+
+    gamma, unitizing = _stored(spec.base, ("twist", spec.twist_indices), twist)
+    if unitizing != check_kc(spec).kci:
+        raise InvariantViolation(
+            "twist permutation is unitizing exactly when the transfer condition holds"
+        )
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -238,7 +266,20 @@ class KiteAlgebra:
 
 def build_kite(spec: KiteSpec) -> KiteAlgebra:
     """Construct the kite table from the four clauses and validate it."""
-    return _KitePower(spec.base, spec.index_size).build_kite(spec)
+    if not check_kc(spec).kci:
+        raise MalformedTableError(
+            "kite construction requires the transfer condition on (rho, lam)"
+        )
+    size = 2 * spec.base.size**spec.index_size
+    if size > element_budget():
+        raise BudgetExceededError(
+            f"kite carrier of {size} elements exceeds the budget of {element_budget()}"
+        )
+    return _stored(
+        spec.base,
+        ("kite", spec.lam, spec.rho),
+        lambda: _paste(spec, _power(spec), kite_gamma(spec)),
+    )
 
 
 def _paste(spec: KiteSpec, power: PowerGpea, gamma: tuple[int, ...]) -> KiteAlgebra:
@@ -303,7 +344,15 @@ def kite_iso(spec: KiteSpec) -> KiteIsoReport:
     A single call builds the power, the kite and the unit extension once
     each.
     """
-    return _KitePower(spec.base, spec.index_size).kite_iso(spec)
+    kite = build_kite(spec)
+    extension = _stored(
+        spec.base,
+        ("extension", spec.twist_indices),
+        lambda: gamma_unitize(kite.power.algebra, kite.gamma),
+    )
+    return _stored(
+        spec.base, ("iso", spec.lam, spec.rho), lambda: _iso_report(kite, extension)
+    )
 
 
 def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoReport:
@@ -369,12 +418,32 @@ class ConnectivityReport:
 def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     """Partition the index set into twist orbits and verify the consequences.
 
-    A single call builds the power and, when the transfer condition holds
-    within budget, the kite, and computes the kite's refinement property
-    and normal Riesz ideals on the kite itself; it builds no unit
-    extension.
+    The RDP₁ verdict and the normal Riesz ideals are computed on the first
+    kite of the twist asked about on this base.  A later kite of the twist
+    takes the verdict unchanged and the ideals mapped through
+    ``φ_spec ∘ φ_first⁻¹``.  Both maps are isomorphisms from the twist's
+    unit extension onto a kite, checked by :func:`kite_iso`, so the
+    composite is an isomorphism from the first kite onto the later one;
+    RDP₁ is invariant under it and it maps the first kite's normal Riesz
+    ideals exactly onto the later kite's.  So the first call of a twist
+    builds the power and, when the transfer condition holds within
+    budget, the kite, and builds no unit extension.
     """
-    return _KitePower(spec.base, spec.index_size).index_connectivity(spec)
+    gamma = kite_gamma(spec)
+    base, sigma = spec.base, spec.twist_indices
+    orbits = _stored(base, ("orbits", sigma), lambda: _orbits(spec, _power(spec), gamma))
+    if not check_kc(spec).kci or 2 * base.size**spec.index_size > element_budget():
+        return _connectivity_report(spec, orbits, None)
+    first = _stored(base, ("first kite", sigma), lambda: spec)
+    g = build_kite(first).algebra
+    rdp1, family = _stored(
+        base, ("refinement", sigma), lambda: (rdp_profile(g).rdp1, normal_riesz_ideals(g))
+    )
+    if (first.lam, first.rho) != (spec.lam, spec.rho):
+        to_spec = kite_iso(spec).phi
+        carry = [to_spec[x] for x in _inverse(kite_iso(first).phi)]
+        family = [frozenset(carry[x] for x in members) for members in family]
+    return _connectivity_report(spec, orbits, (rdp1, family))
 
 
 def _orbits(
@@ -464,103 +533,3 @@ def _connectivity_report(
         kite_smallest_proper=smallest_proper,
         implication_checked=implication_checked,
     )
-
-
-class _KitePower:
-    """The power of one base at one index size, and the kites over it.
-
-    Every kite entry point runs through one of these: the public
-    functions make a fresh one per call, while ``verify`` and ``gpea
-    kite`` keep one for all their specs of a (base, index size).  Each
-    piece of work is done once:
-
-    * per twist (``spec.twist_indices``): the reindexing permutation and
-      its unitizing verdict, the orbits with their support check, and the
-      unit extension when a :meth:`kite_iso` needs it;
-    * per spec: the kite and its :class:`KiteIsoReport`;
-    * per twist, on the first kite of that twist whose connectivity is
-      asked for: the RDP₁ verdict and the normal Riesz ideals.  A later
-      kite of the twist takes the verdict unchanged and the ideals mapped
-      through ``φ_spec ∘ φ_first⁻¹``.  Both maps are isomorphisms from
-      the twist's unit extension onto a kite, checked by
-      :meth:`kite_iso`, so the composite is an isomorphism from the first
-      kite onto the later one; RDP₁ is invariant under it and it maps the
-      first kite's normal Riesz ideals exactly onto the later kite's.
-
-    The methods are the module functions of the same names, for specs over
-    this base and index size.  The power is built on first use, so every
-    refusal of a spec comes before it.  The memos live on the object and
-    nowhere else.
-    """
-
-    def __init__(self, base: FiniteGpea, k: int):
-        self.base = base
-        self.k = k
-        self._memo: dict[tuple, Any] = {}
-
-    @functools.cached_property
-    def power(self) -> PowerGpea:
-        return power_gpea(self.base, self.k)
-
-    def _once(self, key: tuple, make: Callable[[], Any]) -> Any:
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
-
-    def twist(self, spec: KiteSpec) -> tuple[tuple[int, ...], bool]:
-        """The twist's reindexing permutation, and whether it is unitizing."""
-        key = ("twist", spec.twist_indices)
-        if key not in self._memo:
-            gamma = self.power.reindexing_permutation(spec.twist_indices)
-            self._memo[key] = gamma, is_unitizing(self.power.algebra, gamma)
-        return self._memo[key]
-
-    def kite_gamma(self, spec: KiteSpec) -> tuple[int, ...]:
-        gamma, unitizing = self.twist(spec)
-        if unitizing != check_kc(spec).kci:
-            raise InvariantViolation(
-                "twist permutation is unitizing exactly when the transfer condition holds"
-            )
-        return gamma
-
-    def build_kite(self, spec: KiteSpec) -> KiteAlgebra:
-        if not check_kc(spec).kci:
-            raise MalformedTableError(
-                "kite construction requires the transfer condition on (rho, lam)"
-            )
-        size = 2 * spec.base.size**spec.index_size
-        if size > element_budget():
-            raise BudgetExceededError(
-                f"kite carrier of {size} elements exceeds the budget of {element_budget()}"
-            )
-        return self._once(
-            ("kite", spec.lam, spec.rho),
-            lambda: _paste(spec, self.power, self.kite_gamma(spec)),
-        )
-
-    def kite_iso(self, spec: KiteSpec) -> KiteIsoReport:
-        kite = self.build_kite(spec)
-        extension = self._once(
-            ("extension", spec.twist_indices),
-            lambda: gamma_unitize(self.power.algebra, kite.gamma),
-        )
-        return self._once(
-            ("iso", spec.lam, spec.rho), lambda: _iso_report(kite, extension)
-        )
-
-    def index_connectivity(self, spec: KiteSpec) -> ConnectivityReport:
-        gamma = self.kite_gamma(spec)
-        sigma = spec.twist_indices
-        orbits = self._once(("orbits", sigma), lambda: _orbits(spec, self.power, gamma))
-        if not check_kc(spec).kci or 2 * self.power.algebra.size > element_budget():
-            return _connectivity_report(spec, orbits, None)
-        first = self._memo.setdefault(("first kite", sigma), spec)
-        g = self.build_kite(first).algebra
-        rdp1, family = self._once(
-            ("refinement", sigma), lambda: (rdp_profile(g).rdp1, normal_riesz_ideals(g))
-        )
-        if (first.lam, first.rho) != (spec.lam, spec.rho):
-            to_spec = self.kite_iso(spec).phi
-            carry = [to_spec[x] for x in _inverse(self.kite_iso(first).phi)]
-            family = [frozenset(carry[x] for x in members) for members in family]
-        return _connectivity_report(spec, orbits, (rdp1, family))

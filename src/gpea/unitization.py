@@ -547,7 +547,7 @@ def congruence_suite(ua: UnitizationAlgebra, i: Iterable[int]) -> SuiteReport:
         )
     rel = sim_from_ideal(g, members)
     star = extend_congruence(ua, rel)
-    base_flags = classify_relation(g, rel, ideal_for_gcr=members, gamma=gamma)
+    base_flags = classify_relation(g, rel, gamma=gamma)
     star_flags = classify_relation(u, star)
 
     conditions = (

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import gpea
+import gpea.catalog
 import gpea.ideals
 from gpea import fig1, gamma_unitize, parse, serialize
 from gpea.cli import run
-from gpea.ideals import enumerate_ideals
 
 
 def invoke(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -162,13 +162,13 @@ def test_ideals_smallest_depends_on_improper_reading(capsys):
 
 def test_ideals_smallest_counts_only_the_filtered_family(capsys, monkeypatch):
     sweeps = []
+    sweep = gpea.ideals._ideal_sweep
 
     def counted(g):
         sweeps.append(g.size)
-        return enumerate_ideals(g)
+        return sweep(g)
 
-    monkeypatch.setattr(gpea.cli, "enumerate_ideals", counted)
-    monkeypatch.setattr(gpea.ideals, "enumerate_ideals", counted)
+    monkeypatch.setattr(gpea.ideals, "_ideal_sweep", counted)
     argv = ["ideals", "boolean(2)", "--riesz"]
     code, out, _ = invoke(capsys, [*argv, "--gamma", "0,2,1,3"])
     assert code == 0
@@ -436,6 +436,20 @@ def test_verify_failing_scope_exits_one(capsys):
         "  failure smallest_ideal_default: n1#0:g0: base=none extension={0,1}"
         in lines
     )
+
+
+def test_verify_refuses_an_over_limit_budget_before_enumerating(capsys, monkeypatch):
+    searches = []
+    monkeypatch.setattr(gpea.catalog, "_search_tables", searches.append)
+    code, out, err = invoke(capsys, ["verify", "rdp", "--budget", "7"])
+    assert code == 2 and out == ""
+    assert err == "error: enumeration supports at most 6 elements\n"
+    assert searches == []
+    # The kite scope enumerates nothing, so the budget does not bound it.
+    code, out, _ = invoke(capsys, ["verify", "kite", "--budget", "7"])
+    assert code == 0
+    assert out.splitlines()[0] == "VERIFY scope=kite budget=7"
+    assert searches == []
 
 
 def test_verify_rejects_unknown_scope(capsys):

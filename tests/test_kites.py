@@ -558,10 +558,9 @@ def test_carried_ideals_undo_the_first_kites_isomorphism(
 
     monkeypatch.setattr(gpea.kites, "_connectivity_report", record)
     base = chain(1)
-    kites = gpea.kites._KitePower(base, 2)
     for lam in ((1, 0), (0, 1)):
         spec = KiteSpec(base=base, index_size=2, lam=lam, rho=lam)
-        assert kites.index_connectivity(spec) == reference_index_connectivity(spec)
+        assert index_connectivity(spec) == reference_index_connectivity(spec)
         assert set(families[lam]) == set(normal_riesz_ideals(build_kite(spec).algebra))
     assert set(families[(1, 0)]) != set(families[(0, 1)])
 
@@ -617,6 +616,24 @@ def test_verify_kite_scope_builds_each_shared_algebra_once(
         "is_unitizing": 18,
         "classify_subset": 28,
     }
+
+
+def test_public_kite_calls_on_one_base_share_their_work(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """Two specs of one twist over one base: the base's store holds one
+    power and one unit extension for both, and a repeated call returns the
+    object it returned before."""
+    counts = count_kite_work(monkeypatch)
+    base = chain(1)
+    for lam in ((0, 1), (1, 0)):
+        spec = KiteSpec(base=base, index_size=2, lam=lam, rho=lam)
+        kite = build_kite(spec)
+        report = kite_iso(spec)
+        assert index_connectivity(spec) == reference_index_connectivity(spec)
+        assert kite_iso(spec) is report and build_kite(spec) is kite
+    assert counts["power_gpea"] == 1
+    assert counts["gamma_unitize"] == 1
 
 
 def test_single_kite_command_builds_no_extension(

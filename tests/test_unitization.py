@@ -6,6 +6,8 @@ import itertools
 
 import pytest
 
+import gpea.ideals
+import gpea.unitization
 from gpea import (
     MalformedTableError,
     Partition,
@@ -260,6 +262,20 @@ def test_suite_on_padded_ideal_is_all_positive(fig1_algebra):
     assert report.lift_riesz and report.ideal_riesz_in_extension
     assert report.gcr_triangle
     assert report.upward_all is None  # base is not upward directed
+
+
+def test_suite_computes_each_padded_sum_form_once(fig1_algebra, monkeypatch):
+    forms = []
+    gcr_condition = gpea.ideals.gcr_condition
+
+    def counted(*args, **kwargs):
+        forms.append(kwargs["form"])
+        return gcr_condition(*args, **kwargs)
+
+    monkeypatch.setattr(gpea.ideals, "gcr_condition", counted)
+    monkeypatch.setattr(gpea.unitization, "gcr_condition", counted)
+    assert congruence_suite(gamma_unitize(fig1_algebra, SWAP6), {0, 3}).passed
+    assert forms == [1, 2]
 
 
 def test_suite_on_unpadded_ideal_shows_the_negative_side(fig1_algebra):
