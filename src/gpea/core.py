@@ -10,7 +10,7 @@ module represents such algebras as explicit operation tables over elements
 at index ``a * size + b`` and the sentinel ``size`` marks an undefined sum.
 It provides axiom validation, the induced partial order, subtraction,
 structural classification, the unital (PEA) view with its two supplement
-maps, and brute-force isomorphism search.
+maps, and isomorphism search.
 """
 
 from __future__ import annotations
@@ -186,6 +186,11 @@ class FiniteGpea:
         """Every defined sum as ``(a, b, a + b)``, in row-major order."""
         n = self.size
         return tuple((*divmod(k, n), s) for k, s in enumerate(self.table) if s != n)
+
+    @cached_property
+    def morphism_plan(self) -> "MorphismPlan":
+        """The invariants and element order :func:`find_morphisms` uses."""
+        return _morphism_plan(self)
 
     def relabel(self, perm: Sequence[int]) -> "FiniteGpea":
         """The same algebra with element ``i`` renamed to ``perm[i]``.
@@ -774,6 +779,57 @@ def _check_subtraction_formulas(g: FiniteGpea, view: PeaView) -> None:
 # ----------------------------------------------------------------- morphisms
 
 
+@dataclass(frozen=True)
+class MorphismPlan:
+    """How :func:`find_morphisms` places the elements of an algebra.
+
+    ``invariants[x]`` counts the ``b`` with ``x + b`` defined, the ``a``
+    with ``a + x`` defined and the pairs summing to ``x``; an isomorphism
+    keeps all three, and ``profile`` is their sorted list.  ``steps``
+    places every nonzero element once, in order: ``(x, None)`` is a
+    branch element and ``(x, (a, b))`` an element equal to ``a + b`` for
+    elements ``a`` and ``b`` placed before it.
+    """
+
+    invariants: tuple[tuple[int, int, int], ...]
+    profile: tuple[tuple[int, int, int], ...]
+    steps: tuple[tuple[int, tuple[int, int] | None], ...]
+
+
+def _morphism_plan(g: FiniteGpea) -> MorphismPlan:
+    n = g.size
+    table = g.table
+    rows, cols, multiplicity = [0] * n, [0] * n, [0] * n
+    for a, b, s in g.sums:
+        rows[a] += 1
+        cols[b] += 1
+        multiplicity[s] += 1
+    invariants = tuple(zip(rows, cols, multiplicity))
+    steps: list[tuple[int, tuple[int, int] | None]] = []
+    placed = [0]
+    is_placed = [True] + [False] * (n - 1)
+    # Branch elements in decreasing connectivity order make the pruning
+    # bite early; after each, place every sum of two placed elements.
+    for x in sorted(range(1, n), key=lambda x: -rows[x] - cols[x]):
+        if is_placed[x]:
+            continue
+        is_placed[x] = True
+        steps.append((x, None))
+        placed.append(x)
+        k = len(placed) - 1
+        while k < len(placed):
+            y = placed[k]
+            for z in placed[: k + 1]:
+                for a, b in ((y, z), (z, y)):
+                    s = table[a * n + b]
+                    if s != n and not is_placed[s]:
+                        is_placed[s] = True
+                        steps.append((s, (a, b)))
+                        placed.append(s)
+            k += 1
+    return MorphismPlan(invariants, tuple(sorted(invariants)), tuple(steps))
+
+
 def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
     """All structure isomorphisms ``p -> q`` as image tuples, sorted.
 
@@ -781,60 +837,65 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
     preserving sums; ``find_morphisms(p, p)`` gives the automorphisms.
     Returns the empty list when none exist.  An isomorphism preserves the
     induced order, so between unital algebras it maps unit to unit.
+
+    The search follows ``p.morphism_plan``: a branch element tries each
+    unused image with its invariants, and an element that is a sum of
+    elements placed before it takes the sum of their images in ``q``.
+    Every placement must agree with the placed elements pairwise, and
+    every full map is checked with :func:`is_isomorphism`.
     """
     p.require_validated()
     q.require_validated()
-    if p.size != q.size:
+    plan = p.morphism_plan
+    if plan.profile != q.morphism_plan.profile:  # so the sizes are equal too
         return []
     n = p.size
-    if len(p.sums) != len(q.sums):  # an isomorphism maps sums one-to-one
-        return []
-
     p_table = p.table
     q_table = q.table
+    invariants = plan.invariants
+    q_invariants = q.morphism_plan.invariants
+    steps = plan.steps
+    placed = [0] + [x for x, _ in steps]
     results: list[tuple[int, ...]] = []
-    phi: list[int | None] = [None] * n
-    used = [False] * n
-    phi[0] = 0
-    used[0] = True
+    # ``phi`` and ``used`` carry the sentinel ``n`` at index ``n``: an
+    # undefined sum maps to an undefined sum and is never an image.
+    phi: list[int | None] = [0] + [None] * (n - 1) + [n]
+    used = [True] + [False] * (n - 1) + [True]
 
-    # Elements in decreasing connectivity order make the pruning bite early.
-    weight = [0] * n
-    for a, b, _ in p.sums:
-        weight[a] += 1
-        weight[b] += 1
-    todo = sorted(range(1, n), key=lambda x: -weight[x])
+    def fits(x: int, w: int, k: int) -> bool:
+        """Whether ``x -> w`` agrees with each placed ``y`` on both sums.
 
-    def consistent(a: int, b: int) -> bool:
-        fa, fb = phi[a], phi[b]
-        s = p_table[a * n + b]
-        t = q_table[fa * n + fb]
-        if (s == n) != (t == n):
-            return False
-        if s != n and phi[s] is not None and phi[s] != t:
-            return False
+        The image of ``x + y`` (and of ``y + x``) must be the sum of the
+        images, or, for a sum not placed yet, some defined element.
+        """
+        for y in placed[: k + 2]:
+            fy = phi[y]
+            m, t = phi[p_table[x * n + y]], q_table[w * n + fy]
+            if m != t and (m is not None or t == n):
+                return False
+            m, t = phi[p_table[y * n + x]], q_table[fy * n + w]
+            if m != t and (m is not None or t == n):
+                return False
         return True
 
     def extend(k: int) -> None:
-        if k == len(todo):
-            img = tuple(phi)  # fully assigned
+        if k == len(steps):
+            img = tuple(phi[:n])  # fully assigned
             if is_isomorphism(p, q, img):
                 results.append(img)
             return
-        x = todo[k]
-        for w in range(n):
-            if used[w]:
+        x, summands = steps[k]
+        if summands is None:
+            images: Iterable[int] = range(n)
+        else:
+            a, b = summands
+            images = (q_table[phi[a] * n + phi[b]],)
+        for w in images:
+            if used[w] or q_invariants[w] != invariants[x]:
                 continue
             phi[x] = w
             used[w] = True
-            ok = True
-            for y in range(n):
-                if phi[y] is None:
-                    continue
-                if not (consistent(x, y) and consistent(y, x)):
-                    ok = False
-                    break
-            if ok:
+            if fits(x, w, k):
                 extend(k + 1)
             phi[x] = None
             used[w] = False

@@ -139,10 +139,12 @@ def _check_supplements(
 
 
 def _definedness_transfer(g: FiniteGpea, gamma: Sequence[int]) -> bool:
+    """Whether row ``gamma(a)`` of the table is defined where column ``a`` is."""
+    n, table = g.size, g.table
     return all(
-        g.defined(gamma[a], b) == g.defined(b, a)
-        for a in g.elements
-        for b in g.elements
+        (r == n) == (c == n)
+        for a in range(n)
+        for r, c in zip(table[gamma[a] * n : gamma[a] * n + n], table[a::n])
     )
 
 

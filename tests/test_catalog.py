@@ -283,24 +283,29 @@ def test_search_at_size_five_counts_every_labelling_once():
 
 
 def test_find_morphisms_matches_brute_force_on_labelled_tables():
-    # Every ordered pair of labelled tables of sizes 1..4, against every
+    # Every ordered pair of labelled tables of sizes 1..4, and each size-5
+    # representative with each of the 181 labelled size-5 tables (its
+    # relabellings and the other classes'), both ways, against every
     # permutation fixing 0 checked by is_isomorphism.
     tables = [
         g.validate() for n in (1, 2, 3, 4) for g in catalog._search_tables(n)
     ]
+    labelled_five = [g.validate() for g in catalog._search_tables(5)]
+    pairs = [(g, h) for g in tables for h in tables]
+    for g in enumerate_gpeas(5):
+        pairs += [(g, h) for h in labelled_five] + [(h, g) for h in labelled_five]
     verdicts = set()
     sum_counts_differ = 0
-    for g in tables:
-        for h in tables:
-            expected = [
-                (0, *rest)
-                for rest in itertools.permutations(range(1, g.size))
-                if is_isomorphism(g, h, (0, *rest))
-            ]
-            assert find_morphisms(g, h) == expected, (g.table_key(), h.table_key())
-            verdicts.add(bool(expected))
-            sum_counts_differ += g.size == h.size and len(g.sums) != len(h.sums)
-    assert len(tables) == 24
+    for g, h in pairs:
+        expected = [
+            (0, *rest)
+            for rest in itertools.permutations(range(1, g.size))
+            if is_isomorphism(g, h, (0, *rest))
+        ]
+        assert find_morphisms(g, h) == expected, (g.table_key(), h.table_key())
+        verdicts.add(bool(expected))
+        sum_counts_differ += g.size == h.size and len(g.sums) != len(h.sums)
+    assert len(tables) == 24 and len(labelled_five) == 181
     assert verdicts == {True, False}
     assert sum_counts_differ > 0
 

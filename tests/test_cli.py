@@ -205,6 +205,17 @@ def test_autos_unitizing(capsys):
     ]
 
 
+def test_autos_unitizing_on_the_extension_of_the_chain_cube(capsys, tmp_path):
+    # 54 elements: the pairwise-only search took seconds here; counts only.
+    cube = gpea.product(gpea.chain(2), gpea.product(gpea.chain(2), gpea.chain(2)))
+    source = tmp_path / "ext-chain2cube.gpea"
+    extension = gamma_unitize(cube, tuple(range(27))).algebra
+    source.write_text(serialize(extension), encoding="utf-8")
+    code, out, _ = invoke(capsys, ["autos", str(source), "--unitizing"])
+    assert code == 0
+    assert out.splitlines()[-1] == "RESULT count=1"
+
+
 # ---------------------------------------------------------------------------
 # unitize
 # ---------------------------------------------------------------------------

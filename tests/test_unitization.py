@@ -68,15 +68,19 @@ def test_non_automorphism_is_not_unitizing(fig1_algebra):
     assert is_unitizing(fig1_algebra, (0, 1, 2, 4, 3, 5)) is False
 
 
-def _brute_unitizing(g, perm):
-    """The definition itself: relabelling by ``perm`` leaves the table
-    unchanged, and ``perm(a) + b`` is defined exactly when ``b + a`` is."""
-    op = {(a, b): s for a, b, s in g.sums}
-    relabelled = {(perm[a], perm[b]): perm[s] for (a, b), s in op.items()}
-    transfer = all(
+def _brute_transfer(g, perm):
+    """``perm(a) + b`` is defined exactly when ``b + a`` is."""
+    return all(
         g.defined(perm[a], b) == g.defined(b, a) for a in g.elements for b in g.elements
     )
-    return relabelled == op and transfer
+
+
+def _brute_unitizing(g, perm):
+    """The definition itself: relabelling by ``perm`` leaves the table
+    unchanged, and the definedness transfer holds."""
+    op = {(a, b): s for a, b, s in g.sums}
+    relabelled = {(perm[a], perm[b]): perm[s] for (a, b), s in op.items()}
+    return relabelled == op and _brute_transfer(g, perm)
 
 
 def test_unitizing_and_twist_checks_match_brute_force(fig1_algebra, enumerated_by_size):
@@ -85,6 +89,9 @@ def test_unitizing_and_twist_checks_match_brute_force(fig1_algebra, enumerated_b
     for g in algebras:
         for rest in itertools.permutations(range(1, g.size)):
             perm = (0, *rest)
+            # The flat-table transfer on every permutation, automorphism or not.
+            transfer = gpea.unitization._definedness_transfer(g, perm)
+            assert transfer == _brute_transfer(g, perm), (g, perm)
             assert is_unitizing(g, perm) == _brute_unitizing(g, perm), (g, perm)
             if is_isomorphism(g, g, perm):
                 classify_subset(g, {0}, perm)
