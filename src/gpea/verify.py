@@ -30,6 +30,7 @@ from .core import (
     BudgetExceededError,
     FiniteGpea,
     InvariantViolation,
+    MalformedTableError,
 )
 from .ideals import (
     NotEquivalenceError,
@@ -174,9 +175,11 @@ def standard_instances(
     The named entries exercise sizes beyond the enumeration budget: the
     six-element partial algebra with two incomparable maximal sums and
     the product of two chains.  Enumerated entries cover every table, up
-    to isomorphism, of size ``1 .. budget``; a budget the enumerator would
-    refuse is refused before any size is enumerated.
+    to isomorphism, of size ``1 .. budget``; a negative budget, or one the
+    enumerator would refuse, is refused before any size is enumerated.
     """
+    if budget < 0:
+        raise MalformedTableError(f"budget must be at least 0, not {budget}")
     if budget > ENUMERATION_LIMIT:
         raise BudgetExceededError(
             f"enumeration supports at most {ENUMERATION_LIMIT} elements"
@@ -243,9 +246,9 @@ def _verify_unitization(
 ) -> None:
     """Statements about the unit extension itself.
 
-    * ``extension_construction`` — the extension builds and passes all of
-      its internal invariants (axioms, the base as a normal maximal
-      proper ideal, the mirror/supplement identities).
+    * ``extension_construction`` — the extension builds: its axioms and
+      the checked clauses of :class:`UnitizationAlgebra` pass, and the
+      rest (left supplements, maximality of the base) follow by proof.
     * ``base_riesz_iff_upward`` — the base is a Riesz ideal of the
       extension exactly when it is upward directed.
     * ``restriction_to_base`` — every normal Riesz ideal of the extension

@@ -1,11 +1,19 @@
-"""Shared fixtures: the named instances and small enumerated pools."""
+"""Shared fixtures: the named instances and small enumerated pools.
+
+Every ``hypothesis`` test runs under one profile: a fixed seed, no example
+database and no deadline, so that each run draws the same examples.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from gpea import boolean, chain, fig1, product
 from gpea.catalog import enumerate_gpeas
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -463,6 +463,16 @@ def test_verify_refuses_an_over_limit_budget_before_enumerating(capsys, monkeypa
     assert searches == []
 
 
+def test_verify_refuses_a_negative_budget(capsys):
+    code, out, err = invoke(capsys, ["verify", "rdp", "--budget", "-1"])
+    assert code == 2 and "RESULT" not in out
+    assert err == "error: budget must be at least 0, not -1\n"
+    # Budget 0 still runs the named examples.
+    code, out, _ = invoke(capsys, ["verify", "rdp", "--budget", "0"])
+    assert out.splitlines()[0] == "VERIFY scope=rdp budget=0"
+    assert "RESULT" in out
+
+
 def test_verify_rejects_unknown_scope(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["verify", "everything"])
@@ -477,6 +487,7 @@ GOLDEN = Path(__file__).parent / "golden"
     "argv, code, golden",
     [
         (["enumerate", "--size", "5"], 0, "enumerate-size-5.txt"),
+        (["enumerate", "--size", "6"], 0, "enumerate-size-6.txt"),
         (["verify", "all", "--budget", "4"], 1, "verify-all-budget-4.txt"),
         (["verify", "all", "--budget", "5"], 1, "verify-all-budget-5.txt"),
         (

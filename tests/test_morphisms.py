@@ -214,7 +214,7 @@ STREAM_POOL = REPRESENTATIVES + [
 ]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(st.data())
 def test_random_relabellings(data):
     g = data.draw(st.sampled_from(STREAM_POOL))

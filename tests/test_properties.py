@@ -65,7 +65,7 @@ def sparse_tables(draw):
     return FiniteGpea(n, op)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(renamed_algebras())
 def test_serialize_parse_roundtrip_preserves_table_and_names(g):
     text = serialize(g)
@@ -78,7 +78,7 @@ def test_serialize_parse_roundtrip_preserves_table_and_names(g):
     assert serialize(back) == text
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(sparse_tables())
 def test_axiom_checker_is_total_and_consistent(g):
     report = validate_axioms(g)
@@ -104,7 +104,7 @@ def test_axiom_checker_is_total_and_consistent(g):
             raise AssertionError("validation accepted a failing table")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(algebras, st.randoms(use_true_random=False))
 def test_relabeling_preserves_structure(g, rng):
     # Relabelings must fix the neutral element, so only the tail shuffles.
@@ -119,7 +119,7 @@ def test_relabeling_preserves_structure(g, rng):
     assert relabeled.names == {perm[i]: t for i, t in g.names.items()}
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(algebras, st.randoms(use_true_random=False))
 def test_relabeling_rejects_maps_moving_zero(g, rng):
     if g.size < 2:
@@ -130,7 +130,7 @@ def test_relabeling_rejects_maps_moving_zero(g, rng):
         g.relabel(tuple(perm))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(algebras)
 def test_subtraction_recombines_exactly_on_comparable_pairs(g):
     for a in g.elements:
@@ -144,7 +144,7 @@ def test_subtraction_recombines_exactly_on_comparable_pairs(g):
             assert g.value(a, right) == b
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(algebras)
 def test_order_is_a_partial_order(g):
     for a in g.elements:

@@ -55,7 +55,7 @@ from gpea import (
 )
 from gpea import ideals
 from gpea.verify import _unitized_pairs, run_verify, standard_instances
-from test_kernels import DETERMINISTIC, valid_tables
+from test_kernels import valid_tables
 from test_table import ENUMERATED
 
 
@@ -222,7 +222,7 @@ def call_sequences(draw):
     return g, draw(st.lists(call, max_size=30))
 
 
-@settings(DETERMINISTIC, max_examples=60)
+@settings(max_examples=60)
 @given(call_sequences())
 def test_random_call_sequences(sequence):
     g, calls = sequence

@@ -215,7 +215,7 @@ def raw_tables(draw):
     return n, op
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(raw_tables())
 def test_random_raw_tables_match_the_dict_layout(table):
     assert_matches_dict_layout(*table)

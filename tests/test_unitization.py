@@ -35,6 +35,7 @@ from gpea import (
     two_valued_states,
 )
 from gpea.catalog import enumerate_gpeas
+from gpea.verify import standard_instances
 
 IDENTITY6 = (0, 1, 2, 3, 4, 5)
 SWAP6 = (0, 2, 1, 3, 5, 4)
@@ -151,16 +152,25 @@ def test_supplement_formulas_encode_the_twist(fig1_algebra):
             assert view.left_supp[ua.eta(a)] == a
 
 
-def test_base_is_a_normal_maximal_proper_ideal(fig1_algebra):
-    ua = gamma_unitize(fig1_algebra, IDENTITY6)
-    flags = classify_subset(ua.algebra, ua.base_members)
-    assert flags.ideal and flags.normal
-    between = [
-        members
-        for members in enumerate_ideals(ua.algebra)
-        if ua.base_members < members and len(members) < ua.algebra.size
+def test_base_is_a_normal_maximal_proper_ideal():
+    """Every unit extension of the budget-5 instances, fig1 among them.
+    Construction proves maximality rather than searching for it, so the
+    ideals strictly between the base and the carrier are enumerated here."""
+    instances = standard_instances(5)
+    assert "fig1" in dict(instances)
+    extensions = [
+        gamma_unitize(g, gamma) for _, g in instances for gamma in enumerate_unitizing(g)
     ]
-    assert between == []
+    assert len(extensions) == 56
+    for ua in extensions:
+        flags = classify_subset(ua.algebra, ua.base_members)
+        assert flags.ideal and flags.normal, ua
+        between = [
+            members
+            for members in enumerate_ideals(ua.algebra)
+            if ua.base_members < members and len(members) < ua.algebra.size
+        ]
+        assert between == [], ua
 
 
 def test_two_element_extension_is_the_square():
