@@ -650,8 +650,8 @@ def _check_pea_identities(g: FiniteGpea, view: PeaView) -> None:
 
     (1) 0 and the unit ``u`` are each other's supplements; (2) ``rs`` and
     ``ls`` are bijections and (3) mutually inverse; (4) ``a+b == c``
-    implies ``ls(c)+a == ls(b)``.  (4) at ``b = 0`` gives ``ls(a)+a ==
-    u``, and (3) then ``a+rs(a) == u``: these are the true supplements.
+    implies ``ls(c)+a == ls(b)``.  (4) at ``b = 0`` and (1) give
+    ``ls(a)+a == u`` and (3) then ``a+rs(a) == u``: they are the supplements.
     Associativity (checked both ways), cancellation, (3) and the order
     reading the same from either side (:func:`induced_order`) give:
 
