@@ -152,6 +152,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_ideals(args: argparse.Namespace) -> int:
+    if args.exclude_improper and not args.riesz:
+        raise _InputError("--exclude-improper needs --riesz")
     g = _load_valid(args.file)
     gamma = _parse_permutation(args.gamma) if args.gamma else None
     count = 0
@@ -316,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exclude-improper",
         action="store_true",
-        help="exclude the whole carrier from the smallest-ideal report",
+        help="exclude the whole carrier from the smallest-ideal report (needs --riesz)",
     )
     p.set_defaults(func=_cmd_ideals)
 

@@ -688,7 +688,9 @@ def quotient(g: FiniteGpea, rel: Partition) -> FiniteGpea:
 
     Requires a congruence whose quotient is again an algebra of the same
     kind (conditions C4 and C5); the result is validated, and a validation
-    failure is surfaced as a bug rather than returned.
+    failure is surfaced as a bug rather than returned.  The block table
+    exists: C2, part of the congruence flag, is ``_block_sums`` not being
+    ``None``.
     """
     flags = classify_relation(g, rel)
     if not (flags.congruence and flags.c4 and flags.c5):
@@ -696,8 +698,6 @@ def quotient(g: FiniteGpea, rel: Partition) -> FiniteGpea:
             "quotient requires a congruence satisfying C4 and C5"
         )
     table = _block_sums(g, rel.block_of)
-    if table is None:
-        raise InvariantViolation("quotient table is not well defined")
     names = {
         i: "{" + ",".join(g.name(x) for x in sorted(block)) + "}"
         for i, block in enumerate(rel.blocks)

@@ -22,7 +22,7 @@ an ideal of the base, its induced relation, and the lifted relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import (
@@ -174,31 +174,49 @@ def enumerate_unitizing(g: FiniteGpea) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class UnitizationAlgebra:
-    """A base algebra together with its validated unit extension.
+    """A base algebra, a unitizing twist, and the unit extension they fix.
 
     The layout is fixed: base elements keep indices ``0 .. n-1``, the
     mirror copy occupies ``n .. 2n-1`` with ``eta(a) = a + n``, and the
-    unit is ``eta(0) = n``.  Construction checks the contract; the parts
-    marked "proved" follow from the rest (see :func:`_check_supplements`
-    and :func:`_check_unitization`):
+    unit is ``eta(0) = n``.  Construction refuses a base that is not
+    validated (:class:`NotValidatedError`) or a ``gamma`` that is not a
+    unitizing automorphism (:class:`MalformedTableError`), builds
+    ``algebra`` as the mirror pasting with twists ``(identity, gamma)``
+    and validates it, so the restriction to the base, the two absorption
+    clauses and the empty mirror-by-mirror sums hold by construction.  It
+    then checks the theorems about that table; the parts marked "proved"
+    follow from the rest (see :func:`_check_supplements`):
 
-    * the restriction of the extension to the base is exactly the base
-      operation, and the unit lies outside the base;
-    * mirror elements never compose; mixed sums follow the two
-      absorption clauses;
-    * the right supplement of a base element ``a`` is ``eta(a)``, its
-      left supplement (proved) is ``eta(gamma(a))``, and the double left
-      supplement restricted to the base equals ``gamma``;
+    * the unit is ``eta(0)``; the right supplement of a base element
+      ``a`` is ``eta(a)``, its left supplement (proved) is
+      ``eta(gamma(a))``, and the double left supplement restricted to the
+      base equals ``gamma``;
     * supplements of mirror elements are the matching base elements;
-    * the base is a normal, and (proved) maximal proper, ideal.
+    * the base is a normal ideal.
+
+    The base is also maximal among proper ideals, by proof: left
+    absorption at ``b = a`` gives ``a + eta(a) == eta(c)`` with ``c + a ==
+    a``, so ``c == 0`` by cancellation and the sum is the unit; an ideal
+    holding the base and any ``eta(a)`` holds the unit and is the whole
+    carrier.  To decide whether a given table is a unit extension, use
+    :func:`recognize_unitization`.
     """
 
     base: FiniteGpea
     gamma: tuple[int, ...]
-    algebra: FiniteGpea
+    algebra: FiniteGpea = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_unitization(self)
+        g, gamma, n = self.base, tuple(self.gamma), self.base.size
+        object.__setattr__(self, "gamma", gamma)
+        if not is_unitizing(g, gamma):
+            raise MalformedTableError("gamma is not a unitizing automorphism of the base")
+        u = _mirror_pasting(g, tuple(range(n)), gamma).validate()
+        object.__setattr__(self, "algebra", u)
+        _check_supplements(u, tuple(range(n)), gamma, gamma)
+        flags = classify_subset(u, range(n))
+        if not (flags.ideal and flags.normal):
+            raise InvariantViolation("base is not a normal ideal of the extension")
 
     @property
     def unit(self) -> int:
@@ -223,64 +241,17 @@ class UnitizationAlgebra:
         )
 
 
-def _check_unitization(ua: UnitizationAlgebra) -> None:
-    """The contract of :class:`UnitizationAlgebra`.  Maximality: left
-    absorption at ``b = a`` gives ``a + eta(a) == eta(c)`` with ``c + a ==
-    a``, so ``c == 0`` by cancellation and the sum is the unit (checked in
-    :func:`_check_supplements`); an ideal holding the base and any
-    ``eta(a)`` holds the unit and is the whole carrier."""
-    g, gamma, u = ua.base, ua.gamma, ua.algebra
-    g.require_validated()
-    n = g.size
-    if u.size != 2 * n:
-        raise InvariantViolation("unit extension must double the carrier")
-    u.validate()
-    if not is_unitizing(g, gamma):
-        raise InvariantViolation("stored twist is not a unitizing automorphism")
-
-    def fail(msg: str, a: int, b: int) -> None:
-        raise InvariantViolation(f"{msg} at ({a}, {b})")
-
-    # g's tables mark "undefined" with n and u's with 2n, so shifting a
-    # subtraction entry by n turns the one marker into the other.
-    big = 2 * n
-    gt, ut = g.table, u.table
-    left, right = g.subtraction_tables
-    for a in range(n):
-        for b in range(n):
-            s = gt[a * n + b]
-            if ut[a * big + b] != (big if s == n else s):
-                fail("restriction to the base differs from the base operation", a, b)
-            if ut[a * big + b + n] != right[a * n + b] + n:
-                fail("left absorption clause violated", a, b + n)
-            if ut[(a + n) * big + b] != left[gamma[b] * n + a] + n:
-                fail("right absorption clause violated", a + n, b)
-            if ut[(a + n) * big + b + n] != big:
-                fail("mirror elements must never compose", a + n, b + n)
-
-    _check_supplements(u, tuple(range(n)), gamma, gamma)
-
-    flags = classify_subset(u, range(n))
-    if not (flags.ideal and flags.normal):
-        raise InvariantViolation("base is not a normal ideal of the extension")
-
-
 # -------------------------------------------------------------- construction
 
 
 def gamma_unitize(g: FiniteGpea, gamma: Sequence[int]) -> UnitizationAlgebra:
     """Build the unit extension of ``g`` by the unitizing automorphism.
 
-    The result carries the fixed layout documented on
-    :class:`UnitizationAlgebra`; construction validates the axioms of the
-    doubled table and every structural invariant of the extension.
+    The same as ``UnitizationAlgebra(g, tuple(gamma))``: the result
+    carries the fixed layout, the validated table and the checked
+    supplement laws documented there.
     """
-    g.require_validated()
-    perm = _permutation(g, gamma)
-    if not is_unitizing(g, perm):
-        raise MalformedTableError("gamma is not a unitizing automorphism of the base")
-    extension = _mirror_pasting(g, tuple(range(g.size)), perm).validate()
-    return UnitizationAlgebra(base=g, gamma=perm, algebra=extension)
+    return UnitizationAlgebra(g, tuple(gamma))
 
 
 # --------------------------------------------------------------- recognition
@@ -418,8 +389,8 @@ def two_valued_states(u: FiniteGpea) -> list[TwoValuedState]:
     The kernel of such a map is necessarily an ideal (downward closure
     and sum closure both follow from additivity), and the kernel
     determines the map; the scan therefore walks the ideal lattice
-    instead of all ``2^n`` assignments.  Each kernel found is checked to
-    be a normal ideal.
+    instead of all ``2^n`` assignments.  Each kernel is also normal, with
+    nothing to check: ``a + c == c + b`` gives ``s(a) == s(b)``.
     """
     u.require_validated()
     if not u.flags.has_unit:
@@ -432,9 +403,6 @@ def two_valued_states(u: FiniteGpea) -> list[TwoValuedState]:
         values = tuple(0 if x in members else 1 for x in u.elements)
         if any(values[a] + values[b] != values[s] for a, b, s in u.sums):
             continue
-        flags = classify_subset(u, members)
-        if not (flags.ideal and flags.normal):
-            raise InvariantViolation("kernel of a two-valued state is not a normal ideal")
         out.append(TwoValuedState(values))
     return sorted(out, key=lambda s: s.values)
 
@@ -680,7 +648,10 @@ def quotient_unitization(
     isomorphism must send the mirror block ``k + i`` to the unique ``y``
     with ``i + y`` the unit, and in the quotient of the extension that is
     ``k + i`` itself (``x + η(x) = η(0)``, and blocks are ordered by least
-    element), so it exists exactly when the two tables coincide.
+    element), so it exists exactly when the two tables coincide.  The
+    raw pasting is compared: :func:`quotient` validates its result, so a
+    pasting that is not valid differs and counts as a failure.  The block
+    twist exists: ``gamma_congruence`` is ``_block_twist`` not ``None``.
     """
     g, u, gamma = ua.base, ua.algebra, ua.gamma
     base_flags = classify_relation(g, rel, gamma=gamma)
@@ -694,15 +665,12 @@ def quotient_unitization(
             "requires a twist-compatible congruence with C4 and C5'"
         )
     block_twist = _block_twist(rel, gamma)
-    if block_twist is None:
-        raise InvariantViolation("block twist is not well defined")
     twist = tuple(block_twist[i] for i in range(len(rel.blocks)))
     q = quotient(g, rel)
     if not is_unitizing(q, twist):
         return QuotientUnitizationVerdict(
             False, twist, "block twist is not unitizing on the quotient"
         )
-    rebuilt = gamma_unitize(q, twist)
     star = extend_congruence(ua, rel)
     try:
         lifted = quotient(u, star)
@@ -710,7 +678,7 @@ def quotient_unitization(
         return QuotientUnitizationVerdict(
             False, twist, "lifted relation does not admit a quotient"
         )
-    if rebuilt.algebra.same_table(lifted):
+    if _mirror_pasting(q, tuple(range(q.size)), twist).same_table(lifted):
         return QuotientUnitizationVerdict(True, twist, "tables coincide")
     return QuotientUnitizationVerdict(
         False, twist, "no unit-preserving isomorphism fixes the quotient"

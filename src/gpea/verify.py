@@ -246,9 +246,10 @@ def _verify_unitization(
 ) -> None:
     """Statements about the unit extension itself.
 
-    * ``extension_construction`` — the extension builds: its axioms and
-      the checked clauses of :class:`UnitizationAlgebra` pass, and the
-      rest (left supplements, maximality of the base) follow by proof.
+    * ``extension_construction`` — the extension builds: the mirror
+      pasting passes the axioms, its supplements follow the twist and
+      the base is a normal ideal (:class:`UnitizationAlgebra`); left
+      supplements and maximality of the base follow by proof.
     * ``base_riesz_iff_upward`` — the base is a Riesz ideal of the
       extension exactly when it is upward directed.
     * ``restriction_to_base`` — every normal Riesz ideal of the extension

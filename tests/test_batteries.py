@@ -1,7 +1,9 @@
 """The theorem batteries fire on corrupted input.
 
 ``pea_view``, unit extensions and kites re-check identities that hold for
-every valid input, so no run on valid input reaches a failure clause of
+every valid input (a unit extension builds its own table and checks only
+its supplement laws and that its base is a normal ideal), so no run on
+valid input reaches a failure clause of
 ``core._check_pea_identities``, ``core._check_subtraction_formulas``,
 ``unitization._check_supplements`` or ``kites._iso_report``.  These tests
 feed each battery corrupted input and pin the set of clause messages

@@ -160,6 +160,13 @@ def test_ideals_smallest_depends_on_improper_reading(capsys):
     assert "RESULT smallest=none" in out
 
 
+@pytest.mark.parametrize("extra", [[], ["--normal"]])
+def test_ideals_refuses_exclude_improper_without_riesz(capsys, extra):
+    code, out, err = invoke(capsys, ["ideals", "chain(2)", *extra, "--exclude-improper"])
+    assert (code, out) == (2, "")
+    assert err == "error: --exclude-improper needs --riesz\n"
+
+
 def test_ideals_smallest_counts_only_the_filtered_family(capsys, monkeypatch):
     sweeps = []
     sweep = gpea.ideals._ideal_sweep

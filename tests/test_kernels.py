@@ -12,16 +12,17 @@ size at most 5 with its unit extension under each unitizing twist, the
 buildable kites of the ``verify`` grid, and a deterministic
 ``hypothesis`` stream of valid tables.
 
-The bitmask order checks are compared the same way with the per-cell
-sweeps they replaced: ``check_partial_order`` (also on orders with one
-or two pairs toggled, so that every raise and its witness is compared)
-and the clause loop of the unit-extension contract (also on extensions
-stored with the wrong twist or relabelled).
+The bitmask order check ``check_partial_order`` is compared the same
+way with the per-cell sweep it replaced, also on orders with one or two
+pairs toggled, so that every raise and its witness is compared.
 
 The table builders are compared with the loops they replaced: the
 tuple-walking power, the per-coordinate kite clauses and the
 subtraction-method loop of the unit extension must give the same table
-and names as the one mirror-pasting kernel.
+and names as the one mirror-pasting kernel.  The clause loop of the
+unit-extension contract is the oracle for every extension
+``UnitizationAlgebra`` builds, and its two entry points must refuse bad
+input alike.
 
 The block maps are compared with the per-condition loops they replaced:
 C2, C4, C4′, the quotient table, twist compatibility and the block twist
@@ -29,10 +30,13 @@ of ``quotient_unitization`` on every partition of every algebra of size
 at most 6 and of the unit extensions of those up to size 3, on every
 permutation (not only automorphisms) at size at most 5, and on a
 deterministic ``hypothesis`` stream of labels over the budget-5
-extensions.  The congruence walk is compared with building every
-partition and then filtering, and the bitmask induced relation with the
-peel-set matrix on every ideal of the budget-5 instances and their
-extensions: the same partition, or the same exception type and text.
+extensions.  ``quotient_unitization`` is compared with the version that
+rebuilt a checked extension of the quotient, on every congruence of the
+budget-5 pairs it applies to.  The congruence walk is compared with
+building every partition and then filtering, and the bitmask induced
+relation with the peel-set matrix on every ideal of the budget-5
+instances and their extensions: the same partition, or the same
+exception type and text.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gpea.ideals
+import gpea.unitization
 from gpea import (
     AlgebraError,
     FiniteGpea,
@@ -53,8 +58,10 @@ from gpea import (
     KiteSpec,
     MalformedTableError,
     NotEquivalenceError,
+    NotValidatedError,
     Partition,
     PowerGpea,
+    QuotientUnitizationVerdict,
     UnitizationAlgebra,
     all_partitions,
     build_kite,
@@ -67,9 +74,11 @@ from gpea import (
     enumerate_gpeas,
     enumerate_ideals,
     enumerate_unitizing,
+    extend_congruence,
     fig1,
     gamma_unitize,
     ideal_closure,
+    is_unitizing,
     power_gpea,
     quotient,
     quotient_unitization,
@@ -358,13 +367,7 @@ def value_unitization_clauses(g: FiniteGpea, gamma: tuple[int, ...], u: FiniteGp
 
 def assert_kernels_match(g: FiniteGpea) -> None:
     """Profile, ideal list and per-ideal R1/Riesz flags equal the references."""
-    try:
-        expected_profile = brute_rdp_profile(g)
-    except InvariantViolation:
-        with pytest.raises(InvariantViolation):
-            rdp_profile(g)
-    else:
-        assert rdp_profile(g) == expected_profile
+    assert rdp_profile(g) == brute_rdp_profile(g)
 
     ideals = enumerate_ideals(g)
     assert ideals == closure_enumerate_ideals(g)
@@ -497,33 +500,6 @@ def test_partial_order_check_matches_the_sweep_on_toggled_pairs():
         "order not antisymmetric",
         "order not transitive",
     }
-
-
-def test_unitization_clauses_match_the_value_loop_on_corrupted_extensions():
-    """Extensions stored with another unitizing twist, or with two elements
-    swapped: where the loop raises, construction raises the same message;
-    where it passes, construction fails, if at all, at a later check."""
-    clause_failures = 0
-    clauses = ("restriction", "absorption", "mirror elements")
-    for g in ENUMERATED:
-        n = g.size
-        twists = enumerate_unitizing(g)
-        for gamma in twists:
-            u = gamma_unitize(g, gamma).algebra
-            cases = [(other, u) for other in twists]
-            for x, y in itertools.combinations(range(1, 2 * n), 2):
-                perm = list(range(2 * n))
-                perm[x], perm[y] = y, x
-                cases.append((gamma, u.relabel(perm)))
-            for stored, table in cases:
-                expected = raised(lambda: value_unitization_clauses(g, stored, table))
-                got = raised(lambda: UnitizationAlgebra(g, stored, table))
-                if expected is not None:
-                    clause_failures += 1
-                    assert got == expected, (g, stored, table)
-                else:
-                    assert got is None or not any(c in got for c in clauses), got
-    assert clause_failures > 0
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +652,57 @@ def test_unit_extensions_match_the_subtraction_loop():
         u = gamma_unitize(g, gamma).algebra
         assert same_table_and_names(u, subtraction_unitize(g, gamma)), (g, gamma)
     assert len(pairs) > len(BENCH_EXTENSIONS)
+
+
+# ---------------------------------------------------------------------------
+# Unit extensions: one builder, the clause loop as its oracle
+# ---------------------------------------------------------------------------
+
+
+def test_every_built_extension_passes_the_clause_loop():
+    """Every unitizing twist of every algebra of size at most 5, and the
+    benchmark's extension bases: the table ``UnitizationAlgebra`` builds
+    satisfies every clause of the unit-extension contract."""
+    pairs = [(g, gamma) for g in ENUMERATED for gamma in enumerate_unitizing(g)]
+    pairs += [(builtin(expr).validate(), gamma) for expr, gamma in BENCH_EXTENSIONS]
+    for g, gamma in pairs:
+        ua = UnitizationAlgebra(g, gamma)
+        assert ua.algebra.size == 2 * g.size
+        value_unitization_clauses(g, gamma, ua.algebra)
+    assert len(pairs) > len(BENCH_EXTENSIONS)
+    assert UnitizationAlgebra(g, list(gamma)).gamma == ua.gamma == tuple(gamma)
+
+
+def refusal(build, g: FiniteGpea, gamma) -> tuple[type, str]:
+    with pytest.raises(AlgebraError) as info:
+        build(g, gamma)
+    return type(info.value), str(info.value)
+
+
+def test_constructor_and_gamma_unitize_refuse_alike():
+    """A raw base, a map that is no permutation, and every permutation of
+    the algebras of size at most 4 that is not unitizing: the same error
+    type and text from both entry points."""
+    cases = [(FiniteGpea(3, {(0, x): x for x in range(3)}), (0, 1, 2))]
+    cases += [(fig1(), gamma) for gamma in [(0, 0, 1, 2, 3, 4), (0, 1, 2), ()]]
+    for g in ENUMERATED:
+        if g.size <= 4:
+            kept = set(enumerate_unitizing(g))
+            cases += [
+                (g, gamma)
+                for gamma in itertools.permutations(range(g.size))
+                if gamma not in kept
+            ]
+    seen = set()
+    for g, gamma in cases:
+        expected = refusal(gamma_unitize, g, gamma)
+        assert refusal(UnitizationAlgebra, g, gamma) == expected, (g, gamma)
+        seen.add(expected)
+    assert seen == {
+        (NotValidatedError, "operation requires a validated algebra; call .validate() first"),
+        (MalformedTableError, "gamma must be a permutation of the carrier"),
+        (MalformedTableError, "gamma is not a unitizing automorphism of the base"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +926,86 @@ def test_block_maps_on_the_unit_extensions_of_algebras_up_to_size_three():
 
 
 BUDGET_FIVE_PAIRS = _unitized_pairs(standard_instances(5))
+
+
+def rebuild_quotient_unitization(
+    ua: UnitizationAlgebra, rel: Partition
+) -> QuotientUnitizationVerdict:
+    """``quotient_unitization`` when it built a checked extension of the
+    quotient to compare its table."""
+    g, u, gamma = ua.base, ua.algebra, ua.gamma
+    base_flags = classify_relation(g, rel, gamma=gamma)
+    if not (
+        base_flags.congruence
+        and bool(base_flags.gamma_congruence)
+        and base_flags.c4
+        and base_flags.c5prime
+    ):
+        raise MalformedTableError(
+            "requires a twist-compatible congruence with C4 and C5'"
+        )
+    block_twist = _block_twist(rel, gamma)
+    if block_twist is None:
+        raise InvariantViolation("block twist is not well defined")
+    twist = tuple(block_twist[i] for i in range(len(rel.blocks)))
+    q = quotient(g, rel)
+    if not is_unitizing(q, twist):
+        return QuotientUnitizationVerdict(
+            False, twist, "block twist is not unitizing on the quotient"
+        )
+    rebuilt = gamma_unitize(q, twist)
+    star = extend_congruence(ua, rel)
+    try:
+        lifted = quotient(u, star)
+    except MalformedTableError:  # not a congruence with C4 and C5
+        return QuotientUnitizationVerdict(
+            False, twist, "lifted relation does not admit a quotient"
+        )
+    if rebuilt.algebra.same_table(lifted):
+        return QuotientUnitizationVerdict(True, twist, "tables coincide")
+    return QuotientUnitizationVerdict(
+        False, twist, "no unit-preserving isomorphism fixes the quotient"
+    )
+
+
+def twist_compatible_c4_c5p(ua: UnitizationAlgebra) -> list[Partition]:
+    """The congruences ``quotient_unitization`` is defined on."""
+    out = []
+    for rel in congruences(ua.base):
+        flags = classify_relation(ua.base, rel, gamma=ua.gamma)
+        if flags.gamma_congruence and flags.c4 and flags.c5prime:
+            out.append(rel)
+    return out
+
+
+def test_quotient_unitization_matches_the_rebuild_on_budget_five_pairs():
+    compared = 0
+    for pair in BUDGET_FIVE_PAIRS:
+        ua = pair.extension
+        for rel in twist_compatible_c4_c5p(ua):
+            expected = rebuild_quotient_unitization(ua, rel)
+            assert quotient_unitization(ua, rel) == expected, (pair.label, rel)
+            compared += 1
+    assert compared > 100
+
+
+def test_quotient_unitization_builds_no_checked_extension(monkeypatch):
+    calls = []
+    check = gpea.unitization._check_supplements
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    extensions = [p.extension for p in BUDGET_FIVE_PAIRS[:20]]
+    monkeypatch.setattr(gpea.unitization, "_check_supplements", counted)
+    verdicts = [
+        quotient_unitization(ua, rel)
+        for ua in extensions
+        for rel in twist_compatible_c4_c5p(ua)
+    ]
+    assert verdicts and all(v.passed for v in verdicts)
+    assert calls == []
 
 
 @st.composite

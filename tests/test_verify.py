@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import gpea.verify
@@ -165,6 +167,22 @@ def test_rdp_scope_carries_the_divergence_notes():
     by_name = {r.name: r for r in report.results}
     assert by_name["rdp_transfer_total"].instances == 1
     assert by_name["rdp_transfer_total"].failures == 0
+
+
+def test_rdp_scope_counts_refinement_without_splitting(monkeypatch):
+    """An algebra reported with RDP but without RDP0 is a counted failure
+    of ``refinement_implies_splitting``, not a crash."""
+    profile = gpea.verify.rdp_profile
+
+    def broken(g):
+        return replace(profile(g), rdp=True, rdp0=False, rdp0_witness=(0, 0, 0))
+
+    monkeypatch.setattr(gpea.verify, "rdp_profile", broken)
+    by_name = {r.name: r for r in run_verify("rdp", BUDGET).results}
+    result = by_name["refinement_implies_splitting"]
+    assert result.instances > 0
+    assert result.failures == result.instances
+    assert result.witnesses[0].endswith(": rdp=True rdp0=False")
 
 
 def test_runs_are_deterministic(budget2_report):
