@@ -483,9 +483,10 @@ def _check_c4prime(g: FiniteGpea, rel: Partition) -> bool:
     """C4′, on the right supplements alone.
 
     The left supplement map is the inverse permutation of the right one
-    (``pea_view`` checks that), and a permutation that sends every block
-    into a block sends it onto one (see :func:`_block_twist`), so its
-    inverse respects the blocks too.
+    (``a + rs(a)`` is the unit, so ``a`` is the left supplement of
+    ``rs(a)``; see :func:`pea_view`), and a permutation that sends every
+    block into a block sends it onto one (see :func:`_block_twist`), so
+    its inverse respects the blocks too.
     """
     bl = rel.block_of
     supp = g.pea.right_supp
@@ -638,35 +639,28 @@ def sim_from_ideal(g: FiniteGpea, members: Iterable[int]) -> Partition:
     ``j <= b`` with ``a minus i == b minus j`` (right subtraction).  The
     relation is reflexive and symmetric by construction; transitivity is
     *checked*, and a failure raises :class:`NotEquivalenceError` rather than
-    silently taking the transitive closure.  For normal ideals the
-    left-subtraction variant must induce the same relation and is verified.
+    silently taking the transitive closure.
+
+    On a normal ideal the left-subtraction variant is the same relation,
+    because ``s`` has the same right and left peels: conjugation rewrites
+    ``d + i == s`` as ``c + d == d + i`` and ``i + d == s`` as ``d + e ==
+    i + d``, and normality puts ``c`` and ``e`` in the ideal with ``i``.
     """
     flags = classify_subset(g, members)
     if not flags.ideal:
         raise MalformedTableError("sim_from_ideal requires an ideal")
     mask = _subset_mask(g, members)
     n = g.size
-
-    def relation(peels: Iterable[tuple[int, int]]) -> list[int]:
-        """``related[a]``: the ``b`` sharing a peel with ``a``."""
-        holders = [0] * n  # holders[d]: the a with d among their peels
-        for d, a in peels:
-            holders[d] |= 1 << a
-        related = [0] * n
-        for h in holders:
-            for a in range(n):
-                if h >> a & 1:
-                    related[a] |= h
-        return related
-
-    # d + i == s with i a member makes d a right peel of s; i + d == s a left one.
-    related = relation((d, s) for d, i, s in g.sums if mask >> i & 1)
-    if flags.normal and related != relation(
-        (d, s) for i, d, s in g.sums if mask >> i & 1
-    ):
-        raise InvariantViolation(
-            "left- and right-peel relations differ on a normal ideal"
-        )
+    # d + i == s with i a member makes d a right peel of s.
+    holders = [0] * n  # holders[d]: the s with d among their peels
+    for d, i, s in g.sums:
+        if mask >> i & 1:
+            holders[d] |= 1 << s
+    related = [0] * n  # related[a]: the b sharing a peel with a
+    for h in holders:
+        for a in range(n):
+            if h >> a & 1:
+                related[a] |= h
 
     for a in range(n):
         for b in range(n):

@@ -147,7 +147,12 @@ class PowerGpea:
 
 
 def power_gpea(p: FiniteGpea, k: int) -> PowerGpea:
-    """Build ``p^k`` with the coordinatewise partial operation."""
+    """Build ``p^k`` with the coordinatewise partial operation.
+
+    Definedness is coordinatewise, so the power is total exactly when the
+    base is, and weakly commutative (``b + a`` defined with ``a + b``)
+    exactly when the base is.
+    """
     p.require_validated()
     if k < 1:
         raise MalformedTableError("index set must be nonempty")
@@ -167,15 +172,7 @@ def power_gpea(p: FiniteGpea, k: int) -> PowerGpea:
     tuples = tuple(itertools.product(range(n), repeat=k))
     names = ["(" + ",".join(p.name(x) for x in t) + ")" for t in tuples]
     algebra = FiniteGpea(size, op, names).validate()
-    power = PowerGpea(base=p, index_size=k, algebra=algebra, tuples=tuples)
-    if (
-        algebra.flags.total != p.flags.total
-        or algebra.flags.weakly_commutative != p.flags.weakly_commutative
-    ):
-        raise InvariantViolation(
-            "power must be total / weakly commutative exactly when the base is"
-        )
-    return power
+    return PowerGpea(base=p, index_size=k, algebra=algebra, tuples=tuples)
 
 
 def _power(spec: KiteSpec) -> PowerGpea:

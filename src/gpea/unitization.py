@@ -124,8 +124,9 @@ def _check_supplements(
     mirror ``η(a)`` has left supplement ``left_twist⁻¹(a)`` and right
     supplement ``right_twist⁻¹(a)``; the double left supplement on the
     base is ``twist``.  The left map is not compared: the one expected is
-    the inverse of the right one, and :func:`pea_view` checks that
-    ``left_supp`` is the inverse of ``right_supp``.
+    the inverse of the right one, and ``left_supp`` is the inverse of
+    ``right_supp`` on every unital algebra: ``a + rs(a)`` is the unit, so
+    ``a`` is the left supplement of ``rs(a)`` (see :func:`pea_view`).
     """
     n = len(twist)
     view = u.pea
@@ -199,12 +200,13 @@ class UnitizationAlgebra:
     a``, so ``c == 0`` by cancellation and the sum is the unit; an ideal
     holding the base and any ``eta(a)`` holds the unit and is the whole
     carrier.  To decide whether a given table is a unit extension, use
-    :func:`recognize_unitization`.
+    :func:`recognize_unitization`.  Equality and the hash follow ``(base,
+    gamma)``, which fix ``algebra``.
     """
 
     base: FiniteGpea
     gamma: tuple[int, ...]
-    algebra: FiniteGpea = field(init=False)
+    algebra: FiniteGpea = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         g, gamma, n = self.base, tuple(self.gamma), self.base.size

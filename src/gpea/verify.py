@@ -241,9 +241,7 @@ def _relation_label(rel: Partition) -> str:
 # ---------------------------------------------------------- unitization scope
 
 
-def _verify_unitization(
-    pairs: list[_Pair], tallies: _Tallies, notes: list[str]
-) -> None:
+def _verify_unitization(pairs: list[_Pair], tallies: _Tallies) -> None:
     """Statements about the unit extension itself.
 
     * ``extension_construction`` — the extension builds: the mirror
@@ -334,7 +332,6 @@ def _verify_congruence(
     instances: list[tuple[str, FiniteGpea]],
     pairs: list[_Pair],
     tallies: _Tallies,
-    notes: list[str],
 ) -> None:
     """Statements about ideals, induced relations, lifts, and quotients.
 
@@ -504,7 +501,7 @@ _KITE_BASES = (("chain(1)", 1), ("chain(2)", 2))
 _KITE_MAX_INDEX = 3
 
 
-def _verify_kite(tallies: _Tallies, notes: list[str]) -> None:
+def _verify_kite(tallies: _Tallies) -> None:
     """Statements about powers, index twists, and the two-sided pasting.
 
     Over every (base, index size, pair of index bijections) in the fixed
@@ -681,11 +678,11 @@ def run_verify(
     pairs = _unitized_pairs(instances) if needs_instances else []
 
     if "unitization" in wanted:
-        _verify_unitization(pairs, tallies, notes)
+        _verify_unitization(pairs, tallies)
     if "congruence" in wanted:
-        _verify_congruence(instances, _require_built(pairs, "congruence"), tallies, notes)
+        _verify_congruence(instances, _require_built(pairs, "congruence"), tallies)
     if "kite" in wanted:
-        _verify_kite(tallies, notes)
+        _verify_kite(tallies)
     if "rdp" in wanted:
         _verify_rdp(instances, _require_built(pairs, "rdp"), tallies, notes)
 

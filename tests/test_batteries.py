@@ -1,17 +1,22 @@
-"""The theorem batteries fire on corrupted input.
+"""The theorem batteries: deleted ones hold on valid input, kept ones fire.
 
-``pea_view``, unit extensions and kites re-check identities that hold for
-every valid input (a unit extension builds its own table and checks only
-its supplement laws and that its base is a normal ideal), so no run on
-valid input reaches a failure clause of
-``core._check_pea_identities``, ``core._check_subtraction_formulas``,
-``unitization._check_supplements`` or ``kites._iso_report``.  These tests
-feed each battery corrupted input and pin the set of clause messages
-reached.  The batteries keep only clauses that some corrupted input
-reaches; the identities they no longer search (the reverse and
-right-supplement exchanges, the three-way exchange, order reversal, the
-existence criterion, three subtraction forms, the left supplements of an
-extension) are proved in the docstrings of the checks that remain.
+``induced_order``, ``pea_view``, ``subtract``, ``sim_from_ideal`` and
+``power_gpea`` no longer re-check what the five axioms prove: the order
+is a partial order that reads the same from either side, the supplements
+are the unique solutions of ``a + x == u`` and ``x + a == u`` and obey
+the unital identities and subtraction formulas, and a power is total or
+weakly commutative exactly when its base is.  The proofs are in those
+functions' docstrings.  The first test checks the theorems on every
+enumerated algebra of size at most 6, every budget-5 unit extension and
+every buildable kite of the ``verify`` grid, with the two deleted
+``pea_view`` checks kept verbatim below as oracles; the next two tests
+show that those oracles reach each of their clauses on corrupted views,
+so a passing run of the first test is not vacuous.
+
+``unitization._check_supplements`` and ``kites._iso_report`` still check
+identities that hold for every valid input, so no run on valid input
+reaches their failure clauses.  The other tests feed them corrupted input
+and pin the set of clause messages reached.
 """
 
 from __future__ import annotations
@@ -24,18 +29,19 @@ import pytest
 
 import gpea.kites
 from gpea import (
-    AlgebraError,
     FiniteGpea,
     InvariantViolation,
     KiteSpec,
+    PeaView,
     build_kite,
     chain,
     fig1,
     gamma_unitize,
+    power_gpea,
 )
 from gpea.catalog import enumerate_gpeas
-from gpea.core import PeaView, _check_pea_identities, _check_subtraction_formulas
 from gpea.unitization import _check_supplements
+from test_kernels import BUDGET_FIVE_PAIRS, KITES
 
 IDENTITY6 = (0, 1, 2, 3, 4, 5)
 SWAP6 = (0, 2, 1, 3, 5, 4)
@@ -80,25 +86,53 @@ def corrupted_views(g: FiniteGpea) -> Iterable[tuple[FiniteGpea, PeaView]]:
             yield g, dataclasses.replace(view, right_supp=right, left_supp=left)
 
 
-def corrupted_tables(g: FiniteGpea) -> Iterable[tuple[FiniteGpea, PeaView]]:
-    """``g``'s view against ``g``'s table with one entry off zero's row and
-    column removed, added or changed, passed off as validated.  Tables whose
-    induced order fails are left out."""
-    op = {(a, b): s for a, b, s in g.sums}
-    for a, b in itertools.product(range(1, g.size), repeat=2):
-        for value in [None, *g.elements]:
-            if op.get((a, b)) == value:
-                continue
-            changed = {key: s for key, s in op.items() if key != (a, b)}
-            if value is not None:
-                changed[(a, b)] = value
-            h = FiniteGpea(g.size, changed)
-            h._validated = True
-            try:
-                h.order
-            except AlgebraError:
-                continue
-            yield h, g.pea
+# ---------------------------------------------------------------------------
+# The checks pea_view ran before its identities were proved, verbatim
+# ---------------------------------------------------------------------------
+
+
+def _check_pea_identities(g: FiniteGpea, view: PeaView) -> None:
+    """Clauses (1)-(4) of the unital identities."""
+    n = g.size
+    t = g.table
+    rs = view.right_supp
+    ls = view.left_supp
+    unit = view.unit
+
+    def fail(clause: str) -> None:
+        raise InvariantViolation(f"unital identity failed: {clause}")
+
+    if not (rs[0] == ls[0] == unit and rs[unit] == ls[unit] == 0):
+        fail("supplements of 0 and unit")
+    if sorted(rs) != list(range(n)) or sorted(ls) != list(range(n)):
+        fail("supplement maps are not bijections")
+    if any(ls[rs[a]] != a or rs[ls[a]] != a for a in range(n)):
+        fail("double supplement is not the identity")
+    if any(t[ls[c] * n + a] != ls[b] for a, b, c in g.sums):
+        fail("sum/left-supplement exchange (forward)")
+
+
+def _check_subtraction_formulas(g: FiniteGpea, view: PeaView) -> None:
+    """Subtraction through supplements, and the existence transfer."""
+    table = g.table
+    rs = view.right_supp
+    ls = view.left_supp
+    le = g.le
+    n = g.size
+
+    def fail(clause: str) -> None:
+        raise InvariantViolation(f"subtraction formula failed: {clause}")
+
+    for a, b in g.order.pairs:
+        # b minus a from the right is ls(a + rs(b)); from the left rs(ls(b) + a)
+        s = table[a * n + rs[b]]
+        if s == n or g.right_subtraction(a, b) != ls[s]:
+            fail("right subtraction via supplements")
+        t = table[ls[b] * n + a]
+        if t == n or g.left_subtraction(a, b) != rs[t]:
+            fail("left subtraction via supplements")
+    if any(le(b, rs[a]) and not le(a, ls[b]) for a in range(n) for b in range(n)):
+        fail("existence transfer between supplement bounds")
 
 
 def test_pea_identities_fire_on_corrupted_views(unital) -> None:
@@ -119,22 +153,66 @@ def test_subtraction_formulas_fire_on_corrupted_views(unital) -> None:
     }
 
 
-def test_batteries_fire_on_corrupted_tables(unital) -> None:
-    cases = [case for g in unital for case in corrupted_tables(g)]
-    assert reached(_check_pea_identities, cases) == {
-        "unital identity failed: sum/left-supplement exchange (forward)",
-    }
-    assert reached(_check_subtraction_formulas, cases) == {
-        "subtraction formula failed: right subtraction via supplements",
-        "subtraction formula failed: left subtraction via supplements",
-        "subtraction formula failed: existence transfer between supplement bounds",
-    }
+def assert_order_and_unital_view(g: FiniteGpea) -> None:
+    """The order from ``a + c == b`` and from ``d + a == b`` is
+    ``g.order``, a partial order with 0 least; with a top ``u``, the
+    supplements are the unique solutions of ``a + x == u`` and ``x + a ==
+    u`` and pass both deleted checks."""
+    n = g.size
+    from_left = {(a, b) for a, _, b in g.sums}
+    assert {(a, b) for _, a, b in g.sums} == from_left == g.order.pairs
+    above = [{b for x, b in from_left if x == a} for a in range(n)]
+    assert above[0] == set(range(n))
+    for a in range(n):
+        assert a in above[a]
+        for b in above[a]:
+            assert b == a or a not in above[b]
+            assert above[b] <= above[a]
+    tops = [u for u in range(n) if all(u in above[a] for a in range(n))]
+    assert g.flags.has_unit == bool(tops)
+    if tops:
+        view = g.pea
+        assert [view.unit] == tops
+        u = view.unit
+        assert all(
+            [x for x in range(n) if g.value(a, x) == u] == [view.right_supp[a]]
+            and [x for x in range(n) if g.value(x, a) == u] == [view.left_supp[a]]
+            for a in range(n)
+        )
+        _check_pea_identities(g, view)
+        _check_subtraction_formulas(g, view)
+
+
+def test_order_unital_view_and_power_theorems_hold_on_valid_input() -> None:
+    enumerated = [g for n in range(1, 7) for g in enumerate_gpeas(n)]
+    assert len(enumerated) == 64
+    for g in enumerated:
+        assert_order_and_unital_view(g)
+        if g.size <= 4:
+            flags = power_gpea(g, 2).algebra.flags
+            assert (flags.total, flags.weakly_commutative) == (
+                g.flags.total,
+                g.flags.weakly_commutative,
+            )
+    assert len(BUDGET_FIVE_PAIRS) == 56
+    for pair in BUDGET_FIVE_PAIRS:
+        assert pair.extension is not None, pair.error
+        assert_order_and_unital_view(pair.extension.algebra)
+    assert len(KITES) == 18
+    for _, spec in KITES:
+        assert_order_and_unital_view(build_kite(spec).algebra)
+
+
+# ---------------------------------------------------------------------------
+# Kept batteries fire on corrupted input
+# ---------------------------------------------------------------------------
 
 
 def test_supplement_laws_fire_on_wrong_twists() -> None:
     """Wrong twists reach all three clauses.  The left supplements are the
-    inverse of the right ones, which ``pea_view`` checks, so they follow
-    the formulas whenever the right ones do and are not compared."""
+    inverse of the right ones on every unital algebra (see ``pea_view``),
+    so they follow the formulas whenever the right ones do and are not
+    compared."""
     u = gamma_unitize(fig1(), SWAP6).algebra
     assert reached(_check_supplements, [(u, IDENTITY6, SWAP6, SWAP6)]) == set()
     assert reached(

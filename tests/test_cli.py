@@ -508,6 +508,8 @@ GOLDEN = Path(__file__).parent / "golden"
             "kite-chain2-index2-swap.txt",
         ),
         (["unitize", "fig1", "--gamma", "0,2,1,3,5,4"], 0, "unitize-fig1.txt"),
+        (["check", str(GOLDEN / "ext-fig1-swap.gpea")], 0, "check-ext-fig1-swap.txt"),
+        (["check", "boolean(3)"], 0, "check-boolean3.txt"),
     ],
 )
 def test_output_matches_golden_file(capsys, argv, code, golden):

@@ -12,10 +12,6 @@ size at most 5 with its unit extension under each unitizing twist, the
 buildable kites of the ``verify`` grid, and a deterministic
 ``hypothesis`` stream of valid tables.
 
-The bitmask order check ``check_partial_order`` is compared the same
-way with the per-cell sweep it replaced, also on orders with one or two
-pairs toggled, so that every raise and its witness is compared.
-
 The table builders are compared with the loops they replaced: the
 tuple-walking power, the per-coordinate kite clauses and the
 subtraction-method loop of the unit extension must give the same table
@@ -42,13 +38,11 @@ exception type and text.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Iterator
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import gpea.ideals
 import gpea.unitization
 from gpea import (
     AlgebraError,
@@ -87,7 +81,6 @@ from gpea import (
     standard_instances,
     validate_axioms,
 )
-from gpea.core import OrderRelation
 from gpea.ideals import (
     _block_sums,
     _block_twist,
@@ -321,22 +314,6 @@ def value_candidate_maps(
             yield psi
 
 
-def le_check_partial_order(self: OrderRelation) -> None:
-    """Reflexivity, antisymmetry, transitivity, and minimality of 0."""
-    n = self.size
-    full = (1 << n) - 1
-    if self.up_masks[0] != full:
-        raise InvariantViolation("0 is not below every element")
-    for a in range(n):
-        if not self.up_masks[a] >> a & 1:
-            raise InvariantViolation(f"order not reflexive at {a}")
-        for b in range(n):
-            if a != b and self.le(a, b) and self.le(b, a):
-                raise InvariantViolation(f"order not antisymmetric at ({a}, {b})")
-            if self.le(a, b) and self.up_masks[b] & ~self.up_masks[a]:
-                raise InvariantViolation(f"order not transitive above ({a}, {b})")
-
-
 def value_unitization_clauses(g: FiniteGpea, gamma: tuple[int, ...], u: FiniteGpea) -> None:
     """The clause loop of the unit-extension contract."""
     n = g.size
@@ -450,56 +427,6 @@ def test_random_subsets(g, bits):
     inside = [x for x in range(g.size) if mask >> x & 1]
     assert _check_r1(g, mask, inside) == brute_check_r1(g, mask, inside)
     assert _check_r2(g, mask, inside) == brute_check_r2(g, mask, inside)
-
-
-# ---------------------------------------------------------------------------
-# Bitmask order checks
-# ---------------------------------------------------------------------------
-
-
-def raised(check) -> str | None:
-    try:
-        check()
-    except InvariantViolation as exc:
-        return str(exc)
-    return None
-
-
-def unital_pool() -> list[FiniteGpea]:
-    """Every enumerated algebra of size at most 5 and its unit extensions."""
-    pool = []
-    for g in ENUMERATED:
-        pool.append(g)
-        pool.extend(gamma_unitize(g, gamma).algebra for gamma in enumerate_unitizing(g))
-    return pool
-
-
-POOL = unital_pool()
-
-
-def test_partial_order_check_matches_the_sweep_on_toggled_pairs():
-    """Every order of the pool with one pair toggled, and for sizes up to 4
-    every two pairs toggled: the same raise with the same witness."""
-    seen: set[str] = set()
-    for g in POOL + [kite.algebra for kite in map(build_kite, (s for _, s in KITES))]:
-        n = g.size
-        pairs = g.order.pairs
-        cells = list(itertools.product(range(n), repeat=2)) if n <= 10 else []
-        toggles = [()] + [(c,) for c in cells]
-        if n <= 4:
-            toggles += list(itertools.combinations(cells, 2))
-        for toggled in toggles:
-            order = OrderRelation(n, pairs.symmetric_difference(toggled))
-            expected = raised(lambda: le_check_partial_order(order))
-            assert raised(order.check_partial_order) == expected, (n, toggled)
-            seen.add(expected.split(" at ")[0].split(" above ")[0] if expected else "")
-    assert seen == {
-        "",
-        "0 is not below every element",
-        "order not reflexive",
-        "order not antisymmetric",
-        "order not transitive",
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1053,21 +980,3 @@ def test_induced_relation_matches_the_peel_matrix():
             assert outcome(sim_from_ideal, g, members) == expected, (g, members)
             kinds.add(type(expected))
     assert kinds == {Partition, tuple}
-
-
-def test_induced_relation_checks_a_forced_normal_flag_alike(monkeypatch):
-    """Every non-normal ideal of the algebras of size at most 5, flagged
-    normal: both compare their left and right relations the same way."""
-    flags = {}
-    monkeypatch.setattr(gpea.ideals, "classify_subset", lambda g, m: flags[g, m])
-    monkeypatch.setitem(globals(), "classify_subset", lambda g, m: flags[g, m])
-    raised = set()
-    for g in ENUMERATED:
-        for members in enumerate_ideals(g):
-            flags[g, members] = replace(
-                gpea.ideals._subset_flags(g, _subset_mask(g, members)), normal=True
-            )
-            expected = outcome(peel_sim_from_ideal, g, members)
-            assert outcome(sim_from_ideal, g, members) == expected, (g, members)
-            raised.add(expected[0] if isinstance(expected, tuple) else None)
-    assert InvariantViolation in raised

@@ -11,6 +11,7 @@ import gpea.unitization
 from gpea import (
     MalformedTableError,
     Partition,
+    UnitizationAlgebra,
     base_ideal_is_riesz_iff_upward,
     boolean,
     chain,
@@ -124,6 +125,14 @@ def test_extension_layout(fig1_algebra):
     assert [ua.eta(a) for a in range(6)] == list(range(6, 12))
     assert u.name(6) == "η0" and u.name(7) == "ηa" and u.name(11) == "ηb+c"
     assert u.flags.has_unit and u.flags.upward_directed
+
+
+def test_extensions_are_equal_exactly_when_base_and_twist_are(fig1_algebra):
+    built = UnitizationAlgebra(fig1_algebra, SWAP6)
+    again = gamma_unitize(fig1_algebra, SWAP6)
+    assert built.algebra is not again.algebra
+    assert built == again and hash(built) == hash(again)
+    assert built != gamma_unitize(fig1_algebra, IDENTITY6)
 
 
 def test_extension_operation_clauses(fig1_algebra):
