@@ -103,24 +103,21 @@ def product(g: FiniteGpea, h: FiniteGpea) -> FiniteGpea:
     """Direct product with the coordinatewise partial operation.
 
     Element ``(x, y)`` gets index ``x * h.size + y`` (first factor
-    major); names combine the factor names as ``(x,y)``.
+    major); names combine the factor names as ``(x,y)``.  The table is
+    filled from the factors' defined sums: each ``x1 + x2 = vx`` of ``g``
+    and ``y1 + y2 = vy`` of ``h`` give ``(x1, y1) + (x2, y2) = (vx, vy)``,
+    one entry per pair of sums, and every other pair stays undefined.
     """
     g.require_validated()
     h.require_validated()
-    size = g.size * h.size
+    m = h.size
+    size = g.size * m
     require_within_budget(size)
-    op: dict[tuple[int, int], int] = {}
-    for x1 in g.elements:
-        for y1 in h.elements:
-            for x2 in g.elements:
-                for y2 in h.elements:
-                    vx = g.value(x1, x2)
-                    if vx is None:
-                        continue
-                    vy = h.value(y1, y2)
-                    if vy is None:
-                        continue
-                    op[(x1 * h.size + y1, x2 * h.size + y2)] = vx * h.size + vy
+    op = {
+        (x1 * m + y1, x2 * m + y2): vx * m + vy
+        for x1, x2, vx in g.sums
+        for y1, y2, vy in h.sums
+    }
     names = [
         f"({g.name(x)},{h.name(y)})" for x in g.elements for y in h.elements
     ]
@@ -131,9 +128,9 @@ def boolean(k: int) -> FiniteGpea:
     """The Boolean cube with ``2^k`` elements: the k-fold product of chain(1)."""
     if k < 1:
         raise MalformedTableError("boolean cube needs at least one factor")
-    out = chain(1)
+    factor = out = chain(1)
     for _ in range(k - 1):
-        out = product(out, chain(1))
+        out = product(out, factor)
     return out
 
 

@@ -25,6 +25,7 @@ or ``product(chain(1),chain(2))``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -134,7 +135,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     if report.passed:
-        g.validate()
+        g._validated = True  # the report above is the check validate() would run
         flags = classify(g)
         print("FLAGS " + " ".join(f"{k}={str(v).lower()}" for k, v in flags.items()))
         if flags.has_unit:
@@ -292,7 +293,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``gpea`` parser, built on the first :func:`run` of a process.
+
+    It is built from constants only and ``parse_args`` keeps no state
+    between calls (each returns a fresh ``Namespace``, and usage and help
+    go to the ``sys.stderr`` and ``sys.stdout`` of the moment), so every
+    later ``run`` reuses it.  Environment settings such as ``GPEA_BUDGET``
+    are read by the commands, never frozen into the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="gpea",
         description=(

@@ -352,16 +352,25 @@ class OrderRelation:
 
     def __init__(self, size: int, pairs: Iterable[tuple[int, int]]):
         self.size = size
-        self.pairs = frozenset(pairs)
         up = [0] * size
         down = [0] * size
-        for a, b in self.pairs:
+        for a, b in pairs:
             up[a] |= 1 << b
             down[b] |= 1 << a
         #: ``up_masks[a]`` is the bitmask of all ``b`` with ``a <= b``.
         self.up_masks = up
         #: ``down_masks[b]`` is the bitmask of all ``a`` with ``a <= b``.
         self.down_masks = down
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """Every pair ``(a, b)`` with ``a <= b``, read off ``up_masks``."""
+        return frozenset(
+            (a, b)
+            for a, up in enumerate(self.up_masks)
+            for b in range(self.size)
+            if up >> b & 1
+        )
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.up_masks[a] >> b & 1)

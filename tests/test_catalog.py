@@ -72,6 +72,61 @@ def test_boolean_is_iterated_product():
     )
 
 
+def quadruple_loop_product(g: FiniteGpea, h: FiniteGpea) -> FiniteGpea:
+    """The product kernel that read every quadruple through ``value()``,
+    kept verbatim as the reference for the sum-pair kernel."""
+    g.require_validated()
+    h.require_validated()
+    size = g.size * h.size
+    core.require_within_budget(size)
+    op: dict[tuple[int, int], int] = {}
+    for x1 in g.elements:
+        for y1 in h.elements:
+            for x2 in g.elements:
+                for y2 in h.elements:
+                    vx = g.value(x1, x2)
+                    if vx is None:
+                        continue
+                    vy = h.value(y1, y2)
+                    if vy is None:
+                        continue
+                    op[(x1 * h.size + y1, x2 * h.size + y2)] = vx * h.size + vy
+    names = [
+        f"({g.name(x)},{h.name(y)})" for x in g.elements for y in h.elements
+    ]
+    return FiniteGpea(size, op, names).validate()
+
+
+def assert_same_algebra(got: FiniteGpea, want: FiniteGpea) -> None:
+    assert got.table == want.table
+    assert [got.name(i) for i in got.elements] == [want.name(i) for i in want.elements]
+
+
+def test_product_matches_the_quadruple_loop_on_every_small_pair(enumerated_by_size):
+    pool = [g for n in (1, 2, 3, 4) for g in enumerated_by_size[n]] + [fig1()]
+    for g, h in itertools.product(pool, repeat=2):
+        assert_same_algebra(product(g, h), quadruple_loop_product(g, h))
+
+
+# Every product and cube the benchmark's query pool loads.
+POOL_PRODUCTS = (
+    *(f"boolean({k})" for k in range(1, 6)),
+    "product(chain(1),chain(2))",
+    "product(chain(2),chain(2))",
+    "product(chain(3),chain(3))",
+    "product(fig1,chain(1))",
+    "product(chain(1),product(chain(1),chain(2)))",
+    "product(chain(2),product(chain(2),chain(2)))",
+)
+
+
+@pytest.mark.parametrize("expr", POOL_PRODUCTS)
+def test_product_matches_the_quadruple_loop_on_pool_expressions(expr, monkeypatch):
+    got = builtin(expr)
+    monkeypatch.setattr(catalog, "product", quadruple_loop_product)
+    assert_same_algebra(got, builtin(expr))
+
+
 def test_builtin_expressions():
     assert builtin("fig1").same_table(fig1())
     assert builtin("chain(3)").same_table(chain(3))

@@ -487,7 +487,102 @@ def test_verify_rejects_unknown_scope(capsys):
     capsys.readouterr()
 
 
+# ---------------------------------------------------------------------------
+# repeated in-process runs
+# ---------------------------------------------------------------------------
+
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _source_tree_env() -> dict[str, str]:
+    """The environment with the source tree the tests imported first on
+    ``PYTHONPATH``, so a fresh interpreter imports the same ``gpea``."""
+    env = dict(os.environ)
+    source_root = str(Path(gpea.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_parser_is_built_on_the_first_run_and_reused():
+    code = """
+import argparse, contextlib, io
+built = []
+original = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    original(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import gpea.cli
+print(built.count("gpea"), len(built))
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["check", "fig1"], ["rdp", "chain(2)"], ["check", "boolean(2)"]):
+        assert gpea.cli.run(argv) == 0
+print(built.count("gpea"))
+"""
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_source_tree_env(),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines() == ["0 0", "1"]
+
+
+def test_usage_error_is_the_same_before_and_after_a_valid_run(capsys):
+    def usage_error():
+        with pytest.raises(SystemExit) as excinfo:
+            run(["ideals", "fig1", "--normal", "--riesz"])
+        return excinfo.value.code, capsys.readouterr()
+
+    first = usage_error()
+    assert first[0] == 2 and first[1].out == ""
+    assert first[1].err.startswith("usage: gpea ideals")
+    assert "not allowed with argument" in first[1].err
+    assert invoke(capsys, ["check", "fig1"])[0] == 0
+    assert usage_error() == first
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["kite", "--help"]])
+def test_help_is_the_same_on_every_call(capsys, argv):
+    def help_text():
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 0
+        return capsys.readouterr()
+
+    first = help_text()
+    assert first.out.startswith("usage: gpea") and first.err == ""
+    assert help_text() == first
+
+
+def test_budget_is_read_on_every_run(capsys, monkeypatch):
+    assert invoke(capsys, ["check", "chain(2)"])[0] == 0
+    monkeypatch.setenv("GPEA_BUDGET", "2")
+    assert invoke(capsys, ["check", "chain(2)"]) == (
+        2,
+        "",
+        "error: carrier of 3 elements exceeds the budget of 2 "
+        "(set GPEA_BUDGET to raise it)\n",
+    )
+    monkeypatch.delenv("GPEA_BUDGET")
+    assert invoke(capsys, ["check", "chain(2)"])[0] == 0
+
+
+def test_check_runs_the_axiom_check_once(capsys, monkeypatch):
+    calls = []
+    validate_axioms = gpea.core.validate_axioms
+
+    def counting(g):
+        calls.append(g.size)
+        return validate_axioms(g)
+
+    monkeypatch.setattr(gpea.core, "validate_axioms", counting)
+    monkeypatch.setattr(gpea.cli, "validate_axioms", counting)
+    code, out, _ = invoke(capsys, ["check", str(GOLDEN / "ext-fig1-swap.gpea")])
+    assert code == 0 and out.endswith("RESULT valid=true\n")
+    assert calls == [12]
 
 
 @pytest.mark.parametrize(
@@ -552,11 +647,7 @@ def test_console_script_runs_check():
     else:
         # Not installed: run the same source tree the test imported.
         argv = [sys.executable, "-m", "gpea"]
-        source_root = str(Path(gpea.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [source_root, env.get("PYTHONPATH")])
-        )
+        env = _source_tree_env()
     completed = subprocess.run(
         argv + ["check", "fig1"],
         capture_output=True,
