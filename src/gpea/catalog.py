@@ -22,11 +22,13 @@ The enumerator produces every algebra on a small carrier up to
 isomorphism, one representative per class: the lexicographically
 smallest table over relabelings fixing 0.  A depth-first search decides
 the table cell by cell and cuts a branch as soon as the decided cells
-break positivity, cancellation or strong associativity (in the style of
-the SEM and Mace4 model finders); the few complete tables left are
-validated in full and visited in key order, and each is kept unless
-``find_morphisms`` maps a kept table onto it.  A deliberately naive
-second method double checks the counts at tiny sizes.
+break positivity, cancellation or strong associativity, or leave a value
+in row ``x`` that column ``x`` can no longer take, or the reverse, which
+conjugation forbids (in the style of the SEM and Mace4 model finders);
+every complete table left is a GPEA, and each is still validated in
+full, visited in key order and kept unless ``find_morphisms`` maps a
+kept table onto it.  A deliberately naive second method double checks
+the counts at tiny sizes.
 """
 
 from __future__ import annotations
@@ -317,17 +319,28 @@ def _passes_axioms(g: FiniteGpea) -> bool:
 
 
 def _search_tables(n: int) -> Iterator[FiniteGpea]:
-    """Depth-first search over the nonzero cells, pruned by three axioms.
+    """Depth-first search over the nonzero cells, pruned by four axioms.
 
     The table is one flat list, ``table[i * n + j]`` holding ``i + j``,
     ``n`` (the ``table_key`` sentinel) for undefined and ``-1`` for a
     cell not decided yet; the neutral row and column of 0 are filled
-    first.  Cells are decided in row-major order, each first as
-    undefined and then as every value the prunes allow:
+    first.  Beside it, four lists of bitmasks follow the decisions: the
+    values present in each row and in each column (counting the neutral
+    entries), and the undecided cells of each row and of each column.
+    Cells are decided in row-major order, each first as undefined and
+    then as every value the prunes allow:
 
     * positivity — a nonzero cell never takes the value 0;
-    * cancellation — a value already in the cell's row or column
-      (counting the neutral entries) is skipped;
+    * cancellation — a value already in the cell's row or column is
+      skipped;
+    * conjugation — ``a + b`` must equal some ``c + a`` and some
+      ``b + d``, so row ``x`` and column ``x`` hold the same set of
+      defined values.  After each decision, a value in row ``x`` but not
+      in column ``x`` can still reach column ``x`` only through an
+      undecided cell ``(c, x)`` whose row ``c`` does not hold it yet,
+      since cancellation bars it from row ``c`` twice; the branch is cut
+      when no such cell is left, and likewise from column ``x`` to an
+      undecided cell ``(x, d)`` of row ``x`` whose column lacks it;
     * strong associativity — after each decision, every triple of
       nonzero elements that uses the decided cell as ``a+b``,
       ``(a+b)+c``, ``b+c`` or ``a+(b+c)`` and whose two sides are both
@@ -335,12 +348,14 @@ def _search_tables(n: int) -> Iterator[FiniteGpea]:
       equal; otherwise the branch is cut.
 
     The prunes are sound: each rejects a partial table only for a
-    violation among cells already decided, and a completion never
-    changes a decided cell, so no completion of a rejected table is a
-    GPEA.  Triples containing 0 hold in every table, because 0 is
-    neutral.  Conjugation is not propagated, and each complete table
-    (a leaf) is still checked by ``validate_axioms``, so the output
-    does not depend on the prunes catching everything they could.
+    violation that the completions cannot repair, since a completion
+    never changes a decided cell and only fills undecided ones, so no
+    completion of a rejected table is a GPEA.  Triples containing 0 hold
+    in every table, because 0 is neutral.  At a complete table (a leaf)
+    no cell is undecided, so every row holds exactly its column's values
+    and the leaf is conjugate; each leaf is still checked by
+    ``validate_axioms``, so the output does not depend on the prunes
+    catching everything they could.
     """
     undef = n
     table = [-1] * (n * n)
@@ -348,6 +363,33 @@ def _search_tables(n: int) -> Iterator[FiniteGpea]:
         table[i] = table[i * n] = i
     nonzero = range(1, n)
     cells = [(i, j) for i in nonzero for j in nonzero]
+    everything = (1 << n) - 1
+    row_values = [everything] + [1 << x for x in nonzero]
+    column_values = row_values[:]
+    row_open = [0] + [everything - 1] * (n - 1)
+    column_open = row_open[:]
+    choices = [(undef, 0)] + [(v, 1 << v) for v in nonzero]
+
+    def conjugable() -> bool:
+        """Each value on one side of ``x`` can still reach the other side."""
+        for x in nonzero:
+            need = row_values[x] & ~column_values[x]
+            if need:
+                open_rows = column_open[x]
+                for c in nonzero:
+                    if open_rows >> c & 1:
+                        need &= row_values[c]
+                if need:
+                    return False
+            need = column_values[x] & ~row_values[x]
+            if need:
+                open_columns = row_open[x]
+                for d in nonzero:
+                    if open_columns >> d & 1:
+                        need &= column_values[d]
+                if need:
+                    return False
+        return True
 
     def agrees(a: int, b: int, c: int) -> bool:
         """``(a+b)+c`` and ``a+(b+c)`` are not both decided and different."""
@@ -369,10 +411,11 @@ def _search_tables(n: int) -> Iterator[FiniteGpea]:
         for a in nonzero:  # the cell is (a+b)+c, or a+(b+c)
             # Cancellation keeps each value at most once per row, so
             # index() finds the only b with a + b == x (or == y).
-            row = table[a * n : a * n + n]
-            if x in row and not agrees(a, row.index(x), y):
+            held = row_values[a]
+            start = a * n
+            if held >> x & 1 and not agrees(a, table.index(x, start) - start, y):
                 return False
-            if y in row and not agrees(x, a, row.index(y)):
+            if held >> y & 1 and not agrees(x, a, table.index(y, start) - start):
                 return False
         return True
 
@@ -385,15 +428,22 @@ def _search_tables(n: int) -> Iterator[FiniteGpea]:
             return
         i, j = cells[k]
         cell = i * n + j
-        row = table[i * n : i * n + n]
-        column = table[j::n]
-        for v in (undef, *nonzero):
-            if v != undef and (v in row or v in column):
+        row_open[i] ^= 1 << j
+        column_open[j] ^= 1 << i
+        used = row_values[i] | column_values[j]
+        for v, bit in choices:
+            if used & bit:
                 continue
             table[cell] = v
-            if associative_at(i, j):
+            row_values[i] |= bit
+            column_values[j] |= bit
+            if conjugable() and associative_at(i, j):
                 yield from rec(k + 1)
+            row_values[i] ^= bit
+            column_values[j] ^= bit
         table[cell] = -1
+        row_open[i] ^= 1 << j
+        column_open[j] ^= 1 << i
 
     return rec(0)
 

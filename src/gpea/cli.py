@@ -32,7 +32,9 @@ from typing import Sequence
 
 from .catalog import builtin, parse, serialize
 from .core import (
+    AXIOMS,
     AlgebraError,
+    AxiomReport,
     FiniteGpea,
     InvalidAlgebraError,
     InvariantViolation,
@@ -130,7 +132,10 @@ def _emit_table(g: FiniteGpea, out: str | None, summary: list[str]) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_table(args.file)
-    report = validate_axioms(g)
+    if g.is_validated:  # a builtin's constructor has already checked it
+        report = AxiomReport(dict.fromkeys(AXIOMS, True), dict.fromkeys(AXIOMS))
+    else:
+        report = validate_axioms(g)
     print(f"ALGEBRA size={g.size}")
     for line in report.lines():
         print(line)

@@ -28,7 +28,7 @@ from gpea import (
     validate_axioms,
 )
 from gpea import catalog, core
-from gpea.catalog import _neutral_op, enumerate_gpeas
+from gpea.catalog import _neutral_op, _passes_axioms, enumerate_gpeas
 
 
 # ------------------------------------------------------------ named instances
@@ -300,6 +300,119 @@ def test_search_keeps_every_valid_table_of_the_prune_only_search(n, count):
     assert set(found) == expected
 
 
+# The enumerator's search before it propagated conjugation, kept verbatim
+# as the oracle for the conjugation prune.
+def associativity_only_search_tables(n: int) -> Iterator[FiniteGpea]:
+    """Depth-first search over the nonzero cells, pruned by three axioms.
+
+    The table is one flat list, ``table[i * n + j]`` holding ``i + j``,
+    ``n`` (the ``table_key`` sentinel) for undefined and ``-1`` for a
+    cell not decided yet; the neutral row and column of 0 are filled
+    first.  Cells are decided in row-major order, each first as
+    undefined and then as every value the prunes allow:
+
+    * positivity — a nonzero cell never takes the value 0;
+    * cancellation — a value already in the cell's row or column
+      (counting the neutral entries) is skipped;
+    * strong associativity — after each decision, every triple of
+      nonzero elements that uses the decided cell as ``a+b``,
+      ``(a+b)+c``, ``b+c`` or ``a+(b+c)`` and whose two sides are both
+      decided must have both sides undefined, or both defined and
+      equal; otherwise the branch is cut.
+
+    The prunes are sound: each rejects a partial table only for a
+    violation among cells already decided, and a completion never
+    changes a decided cell, so no completion of a rejected table is a
+    GPEA.  Triples containing 0 hold in every table, because 0 is
+    neutral.  Conjugation is not propagated, and each complete table
+    (a leaf) is still checked by ``validate_axioms``, so the output
+    does not depend on the prunes catching everything they could.
+    """
+    undef = n
+    table = [-1] * (n * n)
+    for i in range(n):
+        table[i] = table[i * n] = i
+    nonzero = range(1, n)
+    cells = [(i, j) for i in nonzero for j in nonzero]
+
+    def agrees(a: int, b: int, c: int) -> bool:
+        """``(a+b)+c`` and ``a+(b+c)`` are not both decided and different."""
+        s = table[a * n + b]
+        if s < 0:
+            return True
+        left = s if s == undef else table[s * n + c]
+        t = table[b * n + c]
+        if t < 0:
+            return True
+        right = t if t == undef else table[a * n + t]
+        return left < 0 or right < 0 or left == right
+
+    def associative_at(x: int, y: int) -> bool:
+        """No decided triple through the cell ``x + y`` breaks associativity."""
+        for c in nonzero:  # the cell is a+b, or b+c
+            if not (agrees(x, y, c) and agrees(c, x, y)):
+                return False
+        for a in nonzero:  # the cell is (a+b)+c, or a+(b+c)
+            # Cancellation keeps each value at most once per row, so
+            # index() finds the only b with a + b == x (or == y).
+            row = table[a * n : a * n + n]
+            if x in row and not agrees(a, row.index(x), y):
+                return False
+            if y in row and not agrees(x, a, row.index(y)):
+                return False
+        return True
+
+    def rec(k: int) -> Iterator[FiniteGpea]:
+        if k == len(cells):
+            op = {divmod(cell, n): v for cell, v in enumerate(table) if v != undef}
+            g = FiniteGpea(n, op)
+            if _passes_axioms(g):
+                yield g
+            return
+        i, j = cells[k]
+        cell = i * n + j
+        row = table[i * n : i * n + n]
+        column = table[j::n]
+        for v in (undef, *nonzero):
+            if v != undef and (v in row or v in column):
+                continue
+            table[cell] = v
+            if associative_at(i, j):
+                yield from rec(k + 1)
+        table[cell] = -1
+
+    return rec(0)
+
+
+@pytest.mark.parametrize(
+    "n, count, classes",
+    [(1, 1, 1), (2, 1, 1), (3, 3, 2), (4, 19, 5), (5, 181, 13), (6, 2961, 42)],
+)
+def test_search_keeps_every_table_of_the_associativity_only_search(
+    n, count, classes, monkeypatch
+):
+    # Both searches yield the same labelled tables, and every leaf the
+    # conjugation-propagating search validates is one of them.  Orbit
+    # counting: a class g has (n-1)! / |Aut(g)| labellings fixing 0.
+    expected = {g.table_key() for g in associativity_only_search_tables(n)}
+    leaves = []
+
+    def counting_validate(g):
+        leaves.append(g)
+        return validate_axioms(g)
+
+    monkeypatch.setattr(catalog, "validate_axioms", counting_validate)
+    tables = list(catalog._search_tables(n))
+    keys = [g.table_key() for g in tables]
+    assert len(leaves) == len(keys) == len(set(keys)) == count
+    assert set(keys) == expected
+    minima = catalog._class_minima(tables)
+    assert len(minima) == classes
+    assert count == sum(
+        math.factorial(n - 1) // len(find_morphisms(g, g)) for g in minima
+    )
+
+
 # The enumerator's former canonical form, kept as the oracle: the
 # smallest table key over all (n-1)! relabellings fixing 0.
 def _canonical_key(g: FiniteGpea) -> tuple[int, ...]:
@@ -367,7 +480,8 @@ def test_find_morphisms_matches_brute_force_on_labelled_tables():
 
 def test_search_validates_only_associative_leaves(monkeypatch):
     # The prune-only search validated 453,320 complete tables at size
-    # five; propagating associativity leaves 337 for validate_axioms.
+    # five; propagating associativity left 337 for validate_axioms, and
+    # propagating conjugation leaves only the 181 labelled tables.
     leaves = []
 
     def counting_validate(g):
@@ -376,7 +490,7 @@ def test_search_validates_only_associative_leaves(monkeypatch):
 
     monkeypatch.setattr(catalog, "validate_axioms", counting_validate)
     assert len(list(catalog._search_tables(5))) == 181
-    assert len(leaves) == 337
+    assert len(leaves) == 181
 
 
 def test_enumeration_validates_each_leaf_once(monkeypatch):
@@ -391,7 +505,7 @@ def test_enumeration_validates_each_leaf_once(monkeypatch):
     for module in (catalog, core):
         monkeypatch.setattr(module, "validate_axioms", counting_validate)
     classes = enumerate_gpeas(5)
-    assert len(checked) == len({id(g) for g in checked}) == 337
+    assert len(checked) == len({id(g) for g in checked}) == 181
     golden = Path(__file__).parent / "golden" / "enumerate-size-5.txt"
     assert "".join(serialize(g) + "\n" for g in classes) + "RESULT count=13\n" == (
         golden.read_text(encoding="utf-8")

@@ -583,6 +583,11 @@ def test_check_runs_the_axiom_check_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, ["check", str(GOLDEN / "ext-fig1-swap.gpea")])
     assert code == 0 and out.endswith("RESULT valid=true\n")
     assert calls == [12]
+    # A builtin is validated as it is built; check prints its report as is.
+    calls.clear()
+    code, out, _ = invoke(capsys, ["check", "boolean(5)"])
+    assert code == 0 and out.endswith("RESULT valid=true\n")
+    assert calls == [2, 4, 8, 16, 32]
 
 
 @pytest.mark.parametrize(
