@@ -286,11 +286,11 @@ class FiniteGpea:
     @cached_property
     def verdicts(self) -> dict[tuple, object]:
         """The store of derived results, under a (kind, key) key: each
-        subset and relation verdict and each ideal and congruence sweep
-        the ideals module computed on this algebra, and what the kite
-        functions share over it as a base (see :mod:`gpea.ideals` and
-        :mod:`gpea.kites`).  It is read and filled only through
-        ``ideals._stored``."""
+        subset and relation verdict, twist automorphism proof, and ideal
+        and congruence sweep the ideals module computed on this algebra,
+        and what the kite functions share over it as a base (see
+        :mod:`gpea.ideals` and :mod:`gpea.kites`).  It is read and filled
+        only through ``ideals._stored``."""
         self.require_validated()
         return {}
 

@@ -13,14 +13,13 @@ Each validated algebra keeps what this module decides about it in its
 again of the same instance is answered from the store: the twist-free
 ``IdealFlags`` of a subset (key ``("subset", mask)``), the twist- and
 GCR-free ``CongruenceFlags`` of a relation (``("relation", block_of)``),
-and the ideal list and the congruence list (``("ideals",)``,
-``("congruences",)``).  The twist-closure, twist-compatibility and GCR
-verdicts, the automorphism check of a twist, the induced relation and
-the quotient are computed on every call: storing them too saved about
-4 % of an in-process ``gpea verify all --budget 4`` pass, too little to
-show in its wall time.  Every call still returns a fresh list or
-iterator, and raises as it would without the store; the flags and
-partitions in it are immutable values shared between calls.
+the ideal list and the congruence list (``("ideals",)``,
+``("congruences",)``), and whether a twist is an automorphism
+(``("automorphism", gamma)``).  The twist-closure, twist-compatibility
+and GCR verdicts, the induced relation and the quotient are computed on
+every call.  Every call still returns a fresh list or iterator, and
+raises as it would without the store; the flags and partitions in it
+are immutable values shared between calls.
 
 The kite functions keep their results for a base in the same store,
 through the same accessor :func:`_stored` (see :mod:`gpea.kites`).
@@ -114,11 +113,16 @@ def _stored(g: FiniteGpea, key: tuple, compute: Callable[[], _T]) -> _T:
     return store[key]
 
 
+def _is_automorphism(g: FiniteGpea, perm: tuple[int, ...]) -> bool:
+    """Whether the permutation ``perm`` of the carrier is an automorphism."""
+    return _stored(g, ("automorphism", perm), lambda: is_isomorphism(g, g, perm))
+
+
 def _require_automorphism(g: FiniteGpea, gamma: Sequence[int]) -> tuple[int, ...]:
     gamma = tuple(gamma)
     if sorted(gamma) != list(range(g.size)):
         raise MalformedTableError("twist map is not a permutation of the carrier")
-    if not is_isomorphism(g, g, gamma):
+    if not _is_automorphism(g, gamma):
         raise MalformedTableError("twist map is not an automorphism")
     return gamma
 
@@ -462,11 +466,19 @@ def _check_c3(g: FiniteGpea, rel: Partition) -> bool:
 
 
 def _check_c4(g: FiniteGpea, rel: Partition) -> bool:
+    """C4 on one block map: the classes of ``a`` and ``a + b`` fix ``[b]``.
+
+    The other map, ``([b], [a + b]) -> [a]``, follows.  Fix a block ``S``
+    of sums and let ``D(S)`` be the elements below some ``s`` in ``S``.
+    Each ``x`` in ``D(S)`` is a left summand (``x + y = s``) and, by
+    conjugation (``x + y = c + x``), a right summand of some ``s`` in
+    ``S``.  So if this map is well defined, ``g_S: [a] -> [b]`` over all
+    ``a + b`` in ``S`` maps the classes meeting ``D(S)`` onto themselves.
+    They are finitely many, so ``g_S`` is injective: on every block, that
+    is exactly the other map.
+    """
     bl = rel.block_of
-    return (
-        _block_map(((bl[a], bl[s]), bl[b]) for a, b, s in g.sums) is not None
-        and _block_map(((bl[b], bl[s]), bl[a]) for a, b, s in g.sums) is not None
-    )
+    return _block_map(((bl[a], bl[s]), bl[b]) for a, b, s in g.sums) is not None
 
 
 def _check_c5(g: FiniteGpea, rel: Partition) -> bool:

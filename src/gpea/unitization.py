@@ -37,6 +37,7 @@ from .ideals import (
     NotEquivalenceError,
     Partition,
     _block_twist,
+    _is_automorphism,
     classify_relation,
     classify_subset,
     enumerate_ideals,
@@ -158,7 +159,7 @@ def is_unitizing(g: FiniteGpea, gamma: Sequence[int]) -> bool:
     """
     g.require_validated()
     perm = _permutation(g, gamma)
-    return perm[0] == 0 and is_isomorphism(g, g, perm) and _definedness_transfer(g, perm)
+    return perm[0] == 0 and _is_automorphism(g, perm) and _definedness_transfer(g, perm)
 
 
 def enumerate_unitizing(g: FiniteGpea) -> list[tuple[int, ...]]:

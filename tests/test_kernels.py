@@ -26,7 +26,9 @@ of ``quotient_unitization`` on every partition of every algebra of size
 at most 6 and of the unit extensions of those up to size 3, on every
 permutation (not only automorphisms) at size at most 5, and on a
 deterministic ``hypothesis`` stream of labels over the budget-5
-extensions.  ``quotient_unitization`` is compared with the version that
+extensions.  ``_check_c4`` builds one of C4's two block maps, by a proof
+in its docstring that the other follows; the two halves of the C4 loop
+must agree on each of those inputs.  ``quotient_unitization`` is compared with the version that
 rebuilt a checked extension of the quotient, on every congruence of the
 budget-5 pairs it applies to.  The congruence walk is compared with
 building every partition and then filtering, and the bitmask induced
@@ -37,6 +39,7 @@ exception type and text.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -670,6 +673,18 @@ def loop_check_c4(g: FiniteGpea, rel: Partition) -> bool:
     return True
 
 
+def c4_halves(g: FiniteGpea, rel: Partition) -> tuple[bool, bool]:
+    """Whether the classes of ``a`` and ``a + b`` fix the class of ``b``,
+    and whether the classes of ``b`` and ``a + b`` fix the class of ``a``:
+    the two halves of ``loop_check_c4``."""
+    bl = rel.block_of
+    halves = (
+        {((bl[a], bl[s]), bl[b]) for a, b, s in g.sums},
+        {((bl[b], bl[s]), bl[a]) for a, b, s in g.sums},
+    )
+    return tuple(len({key for key, _ in pairs}) == len(pairs) for pairs in halves)
+
+
 def loop_check_c4prime(g: FiniteGpea, rel: Partition) -> bool:
     view = g.pea
     bl = rel.block_of
@@ -792,6 +807,8 @@ def assert_relation_maps_match(g: FiniteGpea, rel: Partition) -> None:
         else (InvariantViolation, "quotient table is not well defined")
     ), bl
     assert _check_c4(g, rel) == loop_check_c4(g, rel), bl
+    kept, other = c4_halves(g, rel)
+    assert kept == other, bl
     if g.flags.has_unit:
         assert _check_c4prime(g, rel) == loop_check_c4prime(g, rel), bl
     flags = classify_relation(g, rel)
@@ -821,12 +838,30 @@ def assert_walk_matches(g: FiniteGpea) -> None:
         assert_relation_maps_match(g, rel)
 
 
+@functools.cache
+def algebras_of_size(size: int) -> list[FiniteGpea]:
+    return enumerate_gpeas(size)
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
 def test_block_maps_on_every_partition_of_every_small_algebra(size):
-    algebras = enumerate_gpeas(size)
+    algebras = algebras_of_size(size)
     for g in algebras:
         assert_walk_matches(g)
     assert any(g.flags.has_unit for g in algebras)
+
+
+def test_c4_halves_agree_on_every_partition_of_every_algebra_up_to_size_six():
+    """The theorem behind ``_check_c4``, not only the oracle: random labels
+    rarely make either half hold, so every partition is tried."""
+    verdicts = [
+        c4_halves(g, rel)
+        for size in range(1, 7)
+        for g in algebras_of_size(size)
+        for rel in all_partitions(size)
+    ]
+    assert all(kept == other for kept, other in verdicts)
+    assert (len(verdicts), sum(kept for kept, _ in verdicts)) == (9_290, 1_939)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])

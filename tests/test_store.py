@@ -16,13 +16,17 @@ with each of up to two automorphisms and a permutation that is not an
 automorphism; every partition (carriers up to 6 elements; beyond that
 the congruences and the lifts of every base partition) is classified
 without a twist or GCR ideal, with either, and with both, and its
-quotient taken; every ideal induces its relation.  The calls run in one order on one copy and
+quotient taken; every ideal induces its relation; each twist is asked
+whether it is unitizing.  The calls run in one order on one copy and
 in the reverse order on another, and then once more from the filled
 store.  A derandomized ``hypothesis`` stream of call sequences on random
 valid tables covers the orders the sweep does not.
 
-The kernels behind the store run once per (algebra, key): in
-``run_verify("all", 4)`` their counts are pinned exactly.
+The kernels behind the store run once per (algebra, key), and each
+twist is proved an automorphism once per algebra: in
+``run_verify("all", 4)`` their counts are pinned exactly.  A kite's
+twist, kept in its base's store too, does not collide with the base's
+automorphism proof of the same tuple.
 """
 
 from __future__ import annotations
@@ -33,13 +37,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gpea.kites
+import gpea.unitization
 from gpea import (
     AlgebraError,
     FiniteGpea,
+    KiteSpec,
     NotEquivalenceError,
     NotValidatedError,
     Partition,
     all_partitions,
+    chain,
     classify_relation,
     classify_subset,
     congruences,
@@ -47,6 +55,8 @@ from gpea import (
     extend_congruence,
     find_morphisms,
     gamma_unitize,
+    index_connectivity,
+    is_unitizing,
     lift_congruence_biconditional,
     parse,
     quotient,
@@ -131,6 +141,7 @@ def store_calls(g: FiniteGpea, partitions: list[Partition]) -> list[tuple]:
     calls: list[tuple] = [(enumerate_ideals, (), {})]
     if n <= ideals.CONGRUENCE_LIMIT:
         calls.append((congruences, (), {}))
+    calls += [(is_unitizing, (gamma,), {}) for gamma in twists]
     for s in subsets:
         calls.append((classify_subset, (s,), {}))
         calls += [(classify_subset, (s, gamma), {}) for gamma in twists]
@@ -203,9 +214,8 @@ def call_sequences(draw):
     found = enumerate_ideals(copy_of(g))
     element = st.integers(min_value=0, max_value=n - 1)
     subset = st.frozensets(element)
-    gamma = st.none() | st.sampled_from(find_morphisms(g, g)) | st.permutations(
-        range(n)
-    ).map(tuple)
+    perm = st.sampled_from(find_morphisms(g, g)) | st.permutations(range(n)).map(tuple)
+    gamma = st.none() | perm
     relation = st.lists(element, min_size=n, max_size=n).map(Partition.from_block_of)
     call = st.one_of(
         st.tuples(st.just(classify_subset), st.tuples(subset, gamma), st.just({})),
@@ -218,6 +228,7 @@ def call_sequences(draw):
         st.tuples(st.just(congruences), st.just(()), st.just({})),
         st.tuples(st.just(sim_from_ideal), st.tuples(st.sampled_from(found) | subset), st.just({})),
         st.tuples(st.just(quotient), st.tuples(relation), st.just({})),
+        st.tuples(st.just(is_unitizing), st.tuples(perm), st.just({})),
     )
     return g, draw(st.lists(call, max_size=30))
 
@@ -328,3 +339,42 @@ def test_quotient_unitization_classifies_no_relation_again(monkeypatch):
     assert quotient_unitization(ua, rel).passed
     assert quotient_unitization(ua, rel).passed
     assert len(runs["_relation_flags"]) == 2
+
+
+def count_twist_proofs(monkeypatch) -> list[tuple]:
+    """Record each proof that a permutation is an automorphism as
+    (algebra, permutation), through every module binding that could make
+    one; the algebras are kept alive, so their ids stay distinct."""
+    proofs: list[tuple] = []
+    for module in (ideals, gpea.unitization, gpea.kites):
+        prove = module.is_isomorphism
+
+        def counted(p, q, phi, _prove=prove):
+            if p is q:
+                proofs.append((p, tuple(phi)))
+            return _prove(p, q, phi)
+
+        monkeypatch.setattr(module, "is_isomorphism", counted)
+    return proofs
+
+
+def test_verify_all_at_budget_four_proves_each_twist_once_per_algebra(monkeypatch):
+    proofs = count_twist_proofs(monkeypatch)
+    run_verify("all", 4)
+    # Without the store: 694 proofs of the same 120 (algebra, twist) pairs.
+    assert len(proofs) == len({(id(g), gamma) for g, gamma in proofs}) == 120
+
+
+def test_a_kite_twist_and_an_automorphism_proof_share_a_base_store():
+    # On chain(1) with two indices the kite's index twist (0, 1) is also
+    # the base's identity automorphism, under a different kind of key.
+    calls = [
+        lambda g: index_connectivity(KiteSpec(g, 2, (0, 1), (0, 1))),
+        lambda g: classify_subset(g, {0}, (0, 1)),
+        lambda g: is_unitizing(g, (0, 1)),
+    ]
+    fresh = [call(chain(1)) for call in calls]
+    for order in ([0, 1, 2], [2, 1, 0]):
+        base = chain(1)
+        assert [calls[i](base) for i in order] == [fresh[i] for i in order]
+    assert fresh[2] and fresh[1].gamma_closed

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import random
+import re
 from dataclasses import replace
 
 import pytest
 
 import gpea.verify
-from gpea import NotEquivalenceError, all_partitions, chain, fig1, product
+from gpea import (
+    NotEquivalenceError,
+    all_partitions,
+    chain,
+    enumerate_unitizing,
+    fig1,
+    product,
+)
 from gpea.verify import (
     DEFAULT_ENUMERATION_BUDGET,
     SCOPES,
@@ -244,3 +253,80 @@ def test_relation_label_keeps_the_blocks_in_their_stored_order():
             blocks = sorted(tuple(sorted(b)) for b in rel.blocks)
             old = "|".join(",".join(str(x) for x in b) for b in blocks)
             assert gpea.verify._relation_label(rel) == old
+
+
+# --------------------------------------------------------- relabelled family
+
+
+def relabelling(label: str, size: int) -> tuple[int, ...]:
+    """A permutation of the carrier fixing 0, shuffled by a generator
+    seeded with the instance label."""
+    rest = list(range(1, size))
+    random.Random(label).shuffle(rest)
+    return (0, *rest)
+
+
+class Carrier:
+    """Maps a witness or note of the plain family into the relabelled one.
+
+    The pair label ``<instance>:g<j>`` names the ``j``-th unitizing twist
+    ``γ``; the relabelled family lists ``π γ π⁻¹`` at its own index.  A
+    subset ``{...}`` maps through ``π``, extended to the mirror by
+    ``η(a) -> η(π(a))``, which is an isomorphism between the two unit
+    extensions; on base members the two maps agree.
+    """
+
+    PAIR = re.compile(r"([\w#]+)(?::g(\d+))?:")
+    SUBSET = re.compile(r"\{([\d,]*)\}")
+
+    def __init__(self, family, perms):
+        self.family = dict(family)
+        self.perms = perms
+
+    def twist_index(self, label: str, j: int) -> int:
+        g, perm = self.family[label], self.perms[label]
+        gamma = enumerate_unitizing(g)[j]
+        image = [0] * g.size
+        for a in range(g.size):
+            image[perm[a]] = perm[gamma[a]]
+        return enumerate_unitizing(g.relabel(perm)).index(tuple(image))
+
+    def __call__(self, text: str) -> str:
+        pair = self.PAIR.search(text)
+        label, j = pair.groups()
+        perm = self.perms[label]
+        n = len(perm)
+        if j is not None:
+            text = (
+                text[: pair.start()]
+                + f"{label}:g{self.twist_index(label, int(j))}:"
+                + text[pair.end():]
+            )
+
+        def subset(found: re.Match) -> str:
+            members = [int(x) for x in found.group(1).split(",") if x]
+            images = [perm[x] if x < n else perm[x - n] + n for x in members]
+            return "{" + ",".join(map(str, sorted(images))) + "}"
+
+        return self.SUBSET.sub(subset, text)
+
+
+@pytest.mark.parametrize("budget", [4, 5])
+@pytest.mark.parametrize("scope", ["unitization", "congruence", "rdp"])
+def test_a_relabelled_family_gives_the_same_report(monkeypatch, scope, budget):
+    """Every verdict is an isomorphism invariant: relabelling each instance
+    by a permutation fixing 0 changes no RESULT line, and the witnesses and
+    notes only by that permutation."""
+    family = standard_instances(budget)
+    perms = {label: relabelling(label, g.size) for label, g in family}
+    relabelled = [(label, g.relabel(perms[label])) for label, g in family]
+    monkeypatch.setattr(gpea.verify, "standard_instances", lambda _: family)
+    plain = run_verify(scope, budget)
+    monkeypatch.setattr(gpea.verify, "standard_instances", lambda _: relabelled)
+    report = run_verify(scope, budget)
+    assert report.lines() == plain.lines()
+    carry = Carrier(family, perms)
+    for before, after in zip(plain.results, report.results):
+        assert {carry(w) for w in before.witnesses} == set(after.witnesses), before.name
+    assert {carry(note) for note in plain.notes} == set(report.notes)
+    assert any(p != tuple(range(len(p))) for p in perms.values())
