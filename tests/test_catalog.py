@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -255,6 +256,144 @@ def test_enumeration_matches_naive_count_on_small_sizes(enumerated_by_size):
         assert count_gpeas_naive(n) == len(enumerated_by_size[n])
 
 
+# The enumerator's search before it cut relabelled copies, kept verbatim
+# as the oracle for the lex-leader cut: it yields every labelled table.
+def conjugation_search_tables(n: int) -> Iterator[FiniteGpea]:
+    """Depth-first search over the nonzero cells, pruned by four axioms.
+
+    The table is one flat list, ``table[i * n + j]`` holding ``i + j``,
+    ``n`` (the ``table_key`` sentinel) for undefined and ``-1`` for a
+    cell not decided yet; the neutral row and column of 0 are filled
+    first.  Beside it, four lists of bitmasks follow the decisions: the
+    values present in each row and in each column (counting the neutral
+    entries), and the undecided cells of each row and of each column.
+    Cells are decided in row-major order, each first as undefined and
+    then as every value the prunes allow:
+
+    * positivity — a nonzero cell never takes the value 0;
+    * cancellation — a value already in the cell's row or column is
+      skipped;
+    * conjugation — ``a + b`` must equal some ``c + a`` and some
+      ``b + d``, so row ``x`` and column ``x`` hold the same set of
+      defined values.  After each decision, a value in row ``x`` but not
+      in column ``x`` can still reach column ``x`` only through an
+      undecided cell ``(c, x)`` whose row ``c`` does not hold it yet,
+      since cancellation bars it from row ``c`` twice; the branch is cut
+      when no such cell is left, and likewise from column ``x`` to an
+      undecided cell ``(x, d)`` of row ``x`` whose column lacks it;
+    * strong associativity — after each decision, every triple of
+      nonzero elements that uses the decided cell as ``a+b``,
+      ``(a+b)+c``, ``b+c`` or ``a+(b+c)`` and whose two sides are both
+      decided must have both sides undefined, or both defined and
+      equal; otherwise the branch is cut.
+
+    The prunes are sound: each rejects a partial table only for a
+    violation that the completions cannot repair, since a completion
+    never changes a decided cell and only fills undecided ones, so no
+    completion of a rejected table is a GPEA.  Triples containing 0 hold
+    in every table, because 0 is neutral.  At a complete table (a leaf)
+    no cell is undecided, so every row holds exactly its column's values
+    and the leaf is conjugate; each leaf is still checked by
+    ``validate_axioms``, so the output does not depend on the prunes
+    catching everything they could.
+    """
+    undef = n
+    table = [-1] * (n * n)
+    for i in range(n):
+        table[i] = table[i * n] = i
+    nonzero = range(1, n)
+    cells = [(i, j) for i in nonzero for j in nonzero]
+    everything = (1 << n) - 1
+    row_values = [everything] + [1 << x for x in nonzero]
+    column_values = row_values[:]
+    row_open = [0] + [everything - 1] * (n - 1)
+    column_open = row_open[:]
+    choices = [(undef, 0)] + [(v, 1 << v) for v in nonzero]
+
+    def conjugable() -> bool:
+        """Each value on one side of ``x`` can still reach the other side."""
+        for x in nonzero:
+            need = row_values[x] & ~column_values[x]
+            if need:
+                open_rows = column_open[x]
+                for c in nonzero:
+                    if open_rows >> c & 1:
+                        need &= row_values[c]
+                if need:
+                    return False
+            need = column_values[x] & ~row_values[x]
+            if need:
+                open_columns = row_open[x]
+                for d in nonzero:
+                    if open_columns >> d & 1:
+                        need &= column_values[d]
+                if need:
+                    return False
+        return True
+
+    def agrees(a: int, b: int, c: int) -> bool:
+        """``(a+b)+c`` and ``a+(b+c)`` are not both decided and different."""
+        s = table[a * n + b]
+        if s < 0:
+            return True
+        left = s if s == undef else table[s * n + c]
+        t = table[b * n + c]
+        if t < 0:
+            return True
+        right = t if t == undef else table[a * n + t]
+        return left < 0 or right < 0 or left == right
+
+    def associative_at(x: int, y: int) -> bool:
+        """No decided triple through the cell ``x + y`` breaks associativity."""
+        for c in nonzero:  # the cell is a+b, or b+c
+            if not (agrees(x, y, c) and agrees(c, x, y)):
+                return False
+        for a in nonzero:  # the cell is (a+b)+c, or a+(b+c)
+            # Cancellation keeps each value at most once per row, so
+            # index() finds the only b with a + b == x (or == y).
+            held = row_values[a]
+            start = a * n
+            if held >> x & 1 and not agrees(a, table.index(x, start) - start, y):
+                return False
+            if held >> y & 1 and not agrees(x, a, table.index(y, start) - start):
+                return False
+        return True
+
+    def rec(k: int) -> Iterator[FiniteGpea]:
+        if k == len(cells):
+            op = {divmod(cell, n): v for cell, v in enumerate(table) if v != undef}
+            g = FiniteGpea(n, op)
+            if _passes_axioms(g):
+                yield g
+            return
+        i, j = cells[k]
+        cell = i * n + j
+        row_open[i] ^= 1 << j
+        column_open[j] ^= 1 << i
+        used = row_values[i] | column_values[j]
+        for v, bit in choices:
+            if used & bit:
+                continue
+            table[cell] = v
+            row_values[i] |= bit
+            column_values[j] |= bit
+            if conjugable() and associative_at(i, j):
+                yield from rec(k + 1)
+            row_values[i] ^= bit
+            column_values[j] ^= bit
+        table[cell] = -1
+        row_open[i] ^= 1 << j
+        column_open[j] ^= 1 << i
+
+    return rec(0)
+
+
+@functools.cache
+def labelled_tables(n: int) -> tuple[FiniteGpea, ...]:
+    """Every labelled GPEA table on ``{0..n-1}``, validated, from the oracle."""
+    return tuple(g.validate() for g in conjugation_search_tables(n))
+
+
 def prune_only_search_tables(n: int) -> Iterator[FiniteGpea]:
     """Depth-first search over nonzero cells with local pruning.
 
@@ -292,9 +431,10 @@ def prune_only_search_tables(n: int) -> Iterator[FiniteGpea]:
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 3), (4, 19)])
 def test_search_keeps_every_valid_table_of_the_prune_only_search(n, count):
     # The oracle above is the enumerator's search before it propagated
-    # associativity; both must yield the same labelled tables.
+    # associativity; it and the conjugation-propagating oracle must
+    # yield the same labelled tables.
     expected = {g.table_key() for g in prune_only_search_tables(n)}
-    found = [g.table_key() for g in catalog._search_tables(n)]
+    found = [g.table_key() for g in labelled_tables(n)]
     assert len(expected) == count
     assert len(found) == len(set(found))
     assert set(found) == expected
@@ -389,12 +529,32 @@ def associativity_only_search_tables(n: int) -> Iterator[FiniteGpea]:
     [(1, 1, 1), (2, 1, 1), (3, 3, 2), (4, 19, 5), (5, 181, 13), (6, 2961, 42)],
 )
 def test_search_keeps_every_table_of_the_associativity_only_search(
-    n, count, classes, monkeypatch
+    n, count, classes
 ):
-    # Both searches yield the same labelled tables, and every leaf the
-    # conjugation-propagating search validates is one of them.  Orbit
-    # counting: a class g has (n-1)! / |Aut(g)| labellings fixing 0.
+    # The two oracles yield the same labelled tables.  Orbit counting: a
+    # class g has (n-1)! / |Aut(g)| labellings fixing 0.
     expected = {g.table_key() for g in associativity_only_search_tables(n)}
+    keys = [g.table_key() for g in labelled_tables(n)]
+    assert len(keys) == len(set(keys)) == count
+    assert set(keys) == expected
+    minima = catalog._class_minima(labelled_tables(n))
+    assert len(minima) == classes
+    assert count == sum(
+        math.factorial(n - 1) // len(find_morphisms(g, g)) for g in minima
+    )
+
+
+@pytest.mark.parametrize(
+    "n, count, classes",
+    [(1, 1, 1), (2, 1, 1), (3, 2, 2), (4, 5, 5), (5, 15, 13), (6, 55, 42)],
+)
+def test_lex_leader_cut_keeps_every_class_minimum(n, count, classes, monkeypatch):
+    # The cut drops only relabelled copies: the search yields some of the
+    # oracle's labelled tables, validates one leaf per table it yields,
+    # and keeps every class's smallest table, so the class minima are
+    # the oracle's.
+    labelled = {g.table_key() for g in labelled_tables(n)}
+    minima = [g.table_key() for g in catalog._class_minima(labelled_tables(n))]
     leaves = []
 
     def counting_validate(g):
@@ -405,12 +565,10 @@ def test_search_keeps_every_table_of_the_associativity_only_search(
     tables = list(catalog._search_tables(n))
     keys = [g.table_key() for g in tables]
     assert len(leaves) == len(keys) == len(set(keys)) == count
-    assert set(keys) == expected
-    minima = catalog._class_minima(tables)
+    assert set(keys) <= labelled
+    assert set(minima) <= set(keys)
+    assert [g.table_key() for g in catalog._class_minima(tables)] == minima
     assert len(minima) == classes
-    assert count == sum(
-        math.factorial(n - 1) // len(find_morphisms(g, g)) for g in minima
-    )
 
 
 # The enumerator's former canonical form, kept as the oracle: the
@@ -439,7 +597,7 @@ def test_representatives_are_the_brute_force_class_minima(n):
 def test_search_at_size_five_counts_every_labelling_once():
     # Orbit counting: a class g has 4! / |Aut(g)| labellings fixing 0.
     classes = enumerate_gpeas(5)
-    tables = list(catalog._search_tables(5))
+    tables = labelled_tables(5)
     keys = {g.table_key() for g in tables}
     labellings = sum(
         math.factorial(4) // len(find_morphisms(g, g)) for g in classes
@@ -455,10 +613,8 @@ def test_find_morphisms_matches_brute_force_on_labelled_tables():
     # representative with each of the 181 labelled size-5 tables (its
     # relabellings and the other classes'), both ways, against every
     # permutation fixing 0 checked by is_isomorphism.
-    tables = [
-        g.validate() for n in (1, 2, 3, 4) for g in catalog._search_tables(n)
-    ]
-    labelled_five = [g.validate() for g in catalog._search_tables(5)]
+    tables = [g for n in (1, 2, 3, 4) for g in labelled_tables(n)]
+    labelled_five = labelled_tables(5)
     pairs = [(g, h) for g in tables for h in tables]
     for g in enumerate_gpeas(5):
         pairs += [(g, h) for h in labelled_five] + [(h, g) for h in labelled_five]
@@ -480,8 +636,9 @@ def test_find_morphisms_matches_brute_force_on_labelled_tables():
 
 def test_search_validates_only_associative_leaves(monkeypatch):
     # The prune-only search validated 453,320 complete tables at size
-    # five; propagating associativity left 337 for validate_axioms, and
-    # propagating conjugation leaves only the 181 labelled tables.
+    # five; propagating associativity left 337 for validate_axioms,
+    # propagating conjugation left the 181 labelled tables, and the
+    # lex-leader cut leaves 15 of them.
     leaves = []
 
     def counting_validate(g):
@@ -489,8 +646,8 @@ def test_search_validates_only_associative_leaves(monkeypatch):
         return validate_axioms(g)
 
     monkeypatch.setattr(catalog, "validate_axioms", counting_validate)
-    assert len(list(catalog._search_tables(5))) == 181
-    assert len(leaves) == 181
+    assert len(list(catalog._search_tables(5))) == 15
+    assert len(leaves) == 15
 
 
 def test_enumeration_validates_each_leaf_once(monkeypatch):
@@ -505,7 +662,7 @@ def test_enumeration_validates_each_leaf_once(monkeypatch):
     for module in (catalog, core):
         monkeypatch.setattr(module, "validate_axioms", counting_validate)
     classes = enumerate_gpeas(5)
-    assert len(checked) == len({id(g) for g in checked}) == 181
+    assert len(checked) == len({id(g) for g in checked}) == 15
     golden = Path(__file__).parent / "golden" / "enumerate-size-5.txt"
     assert "".join(serialize(g) + "\n" for g in classes) + "RESULT count=13\n" == (
         golden.read_text(encoding="utf-8")

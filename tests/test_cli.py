@@ -459,14 +459,14 @@ def test_verify_failing_scope_exits_one(capsys):
 def test_verify_refuses_an_over_limit_budget_before_enumerating(capsys, monkeypatch):
     searches = []
     monkeypatch.setattr(gpea.catalog, "_search_tables", searches.append)
-    code, out, err = invoke(capsys, ["verify", "rdp", "--budget", "7"])
+    code, out, err = invoke(capsys, ["verify", "rdp", "--budget", "8"])
     assert code == 2 and out == ""
-    assert err == "error: enumeration supports at most 6 elements\n"
+    assert err == "error: enumeration supports at most 7 elements\n"
     assert searches == []
     # The kite scope enumerates nothing, so the budget does not bound it.
-    code, out, _ = invoke(capsys, ["verify", "kite", "--budget", "7"])
+    code, out, _ = invoke(capsys, ["verify", "kite", "--budget", "8"])
     assert code == 0
-    assert out.splitlines()[0] == "VERIFY scope=kite budget=7"
+    assert out.splitlines()[0] == "VERIFY scope=kite budget=8"
     assert searches == []
 
 
@@ -595,8 +595,10 @@ def test_check_runs_the_axiom_check_once(capsys, monkeypatch):
     [
         (["enumerate", "--size", "5"], 0, "enumerate-size-5.txt"),
         (["enumerate", "--size", "6"], 0, "enumerate-size-6.txt"),
+        (["enumerate", "--size", "7"], 0, "enumerate-size-7.txt"),
         (["verify", "all", "--budget", "4"], 1, "verify-all-budget-4.txt"),
         (["verify", "all", "--budget", "5"], 1, "verify-all-budget-5.txt"),
+        (["verify", "all", "--budget", "6"], 1, "verify-all-budget-6.txt"),
         (
             ["kite", "--base", "chain(1)", "--index", "3", "--lambda", "1,2,0", "--rho", "1,2,0"],
             0,
