@@ -44,7 +44,6 @@ from .core import (
     MalformedTableError,
     find_morphisms,
     require_within_budget,
-    validate_axioms,
 )
 
 __all__ = [
@@ -310,15 +309,6 @@ def _neutral_op(n: int) -> dict[tuple[int, int], int]:
     return op
 
 
-def _passes_axioms(g: FiniteGpea) -> bool:
-    """Check a raw table once; one that passes is marked validated, so
-    ``_class_minima``'s ``validate()`` does not check it again."""
-    if not validate_axioms(g).passed:
-        return False
-    g._validated = True
-    return True
-
-
 def _search_tables(n: int) -> Iterator[FiniteGpea]:
     """Depth-first search over the nonzero cells, pruned by four axioms.
 
@@ -461,7 +451,7 @@ def _search_tables(n: int) -> Iterator[FiniteGpea]:
         if k == len(cells):
             op = {divmod(cell, n): v for cell, v in enumerate(table) if v != undef}
             g = FiniteGpea(n, op)
-            if _passes_axioms(g):
+            if g._axiom_report.passed:
                 yield g
             return
         i, j = cells[k]
@@ -549,7 +539,7 @@ def count_gpeas_naive(size: int) -> int:
             {cell: v for cell, v in zip(cells, values) if v is not None}
         )
         g = FiniteGpea(size, op)
-        if _passes_axioms(g):
+        if g._axiom_report.passed:
             valid.append(g)
     return len(_class_minima(valid))
 

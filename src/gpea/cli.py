@@ -32,9 +32,7 @@ from typing import Sequence
 
 from .catalog import builtin, parse, serialize
 from .core import (
-    AXIOMS,
     AlgebraError,
-    AxiomReport,
     FiniteGpea,
     InvalidAlgebraError,
     InvariantViolation,
@@ -42,7 +40,6 @@ from .core import (
     classify,
     element_budget,
     find_morphisms,
-    validate_axioms,
 )
 from .ideals import (
     NotEquivalenceError,
@@ -132,15 +129,12 @@ def _emit_table(g: FiniteGpea, out: str | None, summary: list[str]) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_table(args.file)
-    if g.is_validated:  # a builtin's constructor has already checked it
-        report = AxiomReport(dict.fromkeys(AXIOMS, True), dict.fromkeys(AXIOMS))
-    else:
-        report = validate_axioms(g)
+    report = g._axiom_report  # a builtin's constructor has already run it
     print(f"ALGEBRA size={g.size}")
     for line in report.lines():
         print(line)
     if report.passed:
-        g._validated = True  # the report above is the check validate() would run
+        g.validate()  # reads the report above
         flags = classify(g)
         print("FLAGS " + " ".join(f"{k}={str(v).lower()}" for k, v in flags.items()))
         if flags.has_unit:

@@ -217,12 +217,16 @@ class FiniteGpea:
     def is_validated(self) -> bool:
         return self._validated
 
+    @cached_property
+    def _axiom_report(self) -> "AxiomReport":
+        """The one :func:`validate_axioms` run on this table."""
+        return validate_axioms(self)
+
     def validate(self) -> "FiniteGpea":
         """Check all five axioms; mark the table validated or raise."""
         if not self._validated:
-            report = validate_axioms(self)
-            if not report.passed:
-                raise InvalidAlgebraError(report)
+            if not self._axiom_report.passed:
+                raise InvalidAlgebraError(self._axiom_report)
             self._validated = True
         return self
 

@@ -768,19 +768,37 @@ def riesz_congruence_roundtrip(g: FiniteGpea, rel: Partition) -> RoundtripVerdic
 
 def ideal_closure(g: FiniteGpea, seed: int) -> int:
     """Least ideal (as bitmask) containing the seed bitmask."""
+    seed |= 1  # ideals contain 0
+    return _grower(g)(0, [x for x in g.elements if seed >> x & 1])
+
+
+def _grower(g: FiniteGpea) -> Callable[[int, list[int]], int]:
+    """``grow(ideal, pending)``: the least ideal holding both, by a worklist.
+
+    Each element entering pushes its lower set and its sums with the
+    members present, so every pair is summed once both are in.  The mask
+    grown from must be an ideal, or empty.
+    """
+    n = g.size
     down = g.order.down_masks
-    mask = seed | 1  # ideals contain 0
-    while True:
-        new = mask
-        for x in range(g.size):
-            if mask >> x & 1:
-                new |= down[x]
-        for a, b, s in g.sums:
-            if new >> a & 1 and new >> b & 1:
-                new |= 1 << s
-        if new == mask:
-            return mask
-        mask = new
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, s in g.sums:  # partners[y]: each defined (z, y + z), (z, z + y)
+        partners[a].append((b, s))
+        partners[b].append((a, s))
+
+    def grow(grown: int, pending: list[int]) -> int:
+        while pending:
+            y = pending.pop()
+            if grown >> y & 1:
+                continue
+            grown |= 1 << y
+            fresh = down[y] & ~grown
+            if fresh:
+                pending += [z for z in range(n) if fresh >> z & 1]
+            pending += [s for z, s in partners[y] if grown >> z & 1]
+        return grown
+
+    return grow
 
 
 def enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
@@ -799,10 +817,7 @@ def enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
 def _ideal_sweep(g: FiniteGpea) -> tuple[frozenset[int], ...]:
     n = g.size
     down = g.order.down_masks
-    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, s in g.sums:  # partners[y]: each defined (z, y + z), (z, z + y)
-        partners[a].append((b, s))
-        partners[b].append((a, s))
+    grow = _grower(g)
     seen = {1}  # the zero ideal
     frontier = [1]
     while frontier:
@@ -810,18 +825,7 @@ def _ideal_sweep(g: FiniteGpea) -> tuple[frozenset[int], ...]:
         for x in range(n):
             if down[x] & ~current != 1 << x:
                 continue
-            # Each element entering pushes its lower set and its sums with
-            # the members present, so every pair is summed once both are in.
-            grown, pending = current, [x]
-            while pending:
-                y = pending.pop()
-                if grown >> y & 1:
-                    continue
-                grown |= 1 << y
-                fresh = down[y] & ~grown
-                if fresh:
-                    pending += [z for z in range(n) if fresh >> z & 1]
-                pending += [s for z, s in partners[y] if grown >> z & 1]
+            grown = grow(current, [x])
             if grown not in seen:
                 seen.add(grown)
                 frontier.append(grown)

@@ -14,8 +14,8 @@ the power ``P^I``: the tuples themselves, and a mirror copy written
 
 So the kite is the mirror pasting of its power, twisted on the left by
 reindexing along ``lam`` and on the right along ``rho``, and the kernel
-that builds unit extensions builds it.
-The mirror of the zero tuple is the unit.  The construction succeeds
+that builds unit extensions builds it; its laws, proved there, make
+the mirror of the zero tuple the unit.  The construction succeeds
 exactly when the *transfer condition* holds — for all tuples and every
 index ``i``, ``a_{rho(i)} + b_i`` is defined iff ``b_i + a_{lam(i)}``
 is.  Quantified over all tuples, that condition collapses pointwise: at
@@ -66,7 +66,6 @@ from .ideals import _stored, classify_subset, least_ideal, normal_riesz_ideals
 from .rdp import rdp_profile
 from .unitization import (
     UnitizationAlgebra,
-    _check_supplements,
     _inverse,
     _mirror_pasting,
     gamma_unitize,
@@ -281,14 +280,11 @@ def build_kite(spec: KiteSpec) -> KiteAlgebra:
 def _paste(spec: KiteSpec, power: PowerGpea, gamma: tuple[int, ...]) -> KiteAlgebra:
     """The kite over a built power: its mirror pasting with the reindexings
     along ``lam`` and ``rho``.  The caller has checked the spec."""
-    m = power.algebra.size
     lam, rho = map(power.reindexing_permutation, (spec.lam, spec.rho))
     try:
         algebra = _mirror_pasting(power.algebra, lam, rho).validate()
     except InvalidAlgebraError as exc:
         raise InvariantViolation(f"kite table fails the axioms: {exc}") from exc
-    if not algebra.flags.has_unit or algebra.pea.unit != m:
-        raise InvariantViolation("kite unit must be the mirror of the zero tuple")
     return KiteAlgebra(spec=spec, power=power, gamma=gamma, algebra=algebra)
 
 
@@ -298,10 +294,11 @@ class KiteIsoReport:
 
     ``phi`` fixes every tuple of the power and sends the mirror of ``a``
     to the mirror of ``a`` reindexed by ``lam``.  Construction verifies
-    that ``phi`` transfers sums both ways, that no other sum-preserving
-    unit-preserving map fixes the power pointwise, and that the
+    that ``phi`` transfers sums both ways and that no other
+    sum-preserving unit-preserving map fixes the power pointwise.  The
     supplement maps on the kite follow the reindexing formulas, with the
-    double left supplement equal to the twist.  ``searched_exhaustively``
+    double left supplement equal to the twist, by the proof in
+    :func:`unitization._mirror_pasting`.  ``searched_exhaustively``
     tells whether uniqueness was confirmed by enumerating candidate maps
     (small carriers) or by the forcing argument ("the partner of ``a``
     summing to the unit is unique").
@@ -353,7 +350,7 @@ def kite_iso(spec: KiteSpec) -> KiteIsoReport:
 
 def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoReport:
     m = kite.m
-    lam, rho = map(kite.power.reindexing_permutation, (kite.spec.lam, kite.spec.rho))
+    lam = kite.power.reindexing_permutation(kite.spec.lam)
     phi = tuple(range(m)) + tuple(x + m for x in lam)
     if not is_isomorphism(extension.algebra, kite.algebra, phi):
         raise InvariantViolation(
@@ -378,7 +375,6 @@ def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoRepo
                     "unit partner in the kite is not uniquely the canonical image"
                 )
 
-    _check_supplements(kite.algebra, lam, rho, kite.gamma)
     return KiteIsoReport(
         extension=extension, kite=kite, phi=phi, searched_exhaustively=small
     )

@@ -96,6 +96,23 @@ def _mirror_pasting(
     exactly when that ``c`` exists; two mirrors never add.  The unit
     extension by ``γ`` is the pasting with twists ``(identity, γ)``, and
     a kite the pasting of its power with the two reindexings.
+
+    A pasting that validates obeys the supplement laws, by proof.  Write
+    lt and rt for the twists.  By cancellation in ``g``, ``c = 0`` is the
+    only ``c`` with ``c + lt(a) = lt(a)`` or ``a + c = a``, so ``a +
+    η(lt a) = η0`` and ``η(a) + rt⁻¹(a) = η0``.  Every element is then
+    below ``η0``, the top, and the supplements are rs(a) = η(lt a),
+    rs(ηa) = rt⁻¹(a), ls(a) = η(rt a) and ls(ηb) = lt⁻¹(b).  So ll =
+    lt⁻¹∘rt on the base: ``γ`` for the unit extension, and for a kite
+    R(λ)⁻¹∘R(ρ) = R(ρ∘λ⁻¹), its ``gamma``, where R(σ) is
+    ``reindexing_permutation(σ)`` and R(σ)∘R(τ) = R(τ∘σ).
+
+    The base ``0 .. n-1`` is a normal ideal, by proof.  Base sums stay in
+    the base.  A mirror plus anything is a mirror or undefined, so
+    nothing below a base element is a mirror.  For ``a + c = c + b = v``
+    with ``v`` in the base, all three summands are in it; with ``v`` a
+    mirror, each side has exactly one mirror summand, so ``a`` and ``b``
+    are both mirrors when ``c`` is in the base, and both in it when not.
     """
     n = g.size
     left, right = g.subtraction_tables
@@ -110,33 +127,6 @@ def _mirror_pasting(
                 op[(a + n, b)] = c + n
     names = [g.name(i) for i in range(n)] + ["η" + g.name(i) for i in range(n)]
     return FiniteGpea(2 * n, op, names)
-
-
-def _check_supplements(
-    u: FiniteGpea,
-    left_twist: Sequence[int],
-    right_twist: Sequence[int],
-    twist: Sequence[int],
-) -> None:
-    """The supplement laws of a mirror pasting ``u`` of an ``n``-element base.
-
-    The unit is ``η(0) = n``; a base element ``a`` has right supplement
-    ``η(left_twist(a))`` and left supplement ``η(right_twist(a))``; the
-    mirror ``η(a)`` has left supplement ``left_twist⁻¹(a)`` and right
-    supplement ``right_twist⁻¹(a)``; the double left supplement on the
-    base is ``twist``.  The left map is not compared: the one expected is
-    the inverse of the right one, and ``left_supp`` is the inverse of
-    ``right_supp`` on every unital algebra: ``a + rs(a)`` is the unit, so
-    ``a`` is the left supplement of ``rs(a)`` (see :func:`pea_view`).
-    """
-    n = len(twist)
-    view = u.pea
-    if view.unit != n:
-        raise InvariantViolation("unit of the pasting must be the mirror of 0")
-    if view.right_supp != tuple(x + n for x in left_twist) + _inverse(right_twist):
-        raise InvariantViolation("right supplements break the twist formulas")
-    if tuple(view.ll(a) for a in range(n)) != tuple(twist):
-        raise InvariantViolation("double left supplement differs from the twist")
 
 
 def _definedness_transfer(g: FiniteGpea, gamma: Sequence[int]) -> bool:
@@ -185,24 +175,21 @@ class UnitizationAlgebra:
     unitizing automorphism (:class:`MalformedTableError`), builds
     ``algebra`` as the mirror pasting with twists ``(identity, gamma)``
     and validates it, so the restriction to the base, the two absorption
-    clauses and the empty mirror-by-mirror sums hold by construction.  It
-    then checks the theorems about that table; the parts marked "proved"
-    follow from the rest (see :func:`_check_supplements`):
+    clauses and the empty mirror-by-mirror sums hold by construction.
+    The rest holds by the proofs in :func:`_mirror_pasting`, unchecked:
 
-    * the unit is ``eta(0)``; the right supplement of a base element
-      ``a`` is ``eta(a)``, its left supplement (proved) is
-      ``eta(gamma(a))``, and the double left supplement restricted to the
-      base equals ``gamma``;
-    * supplements of mirror elements are the matching base elements;
+    * the unit is ``eta(0)``; a base element ``a`` has right supplement
+      ``eta(a)`` and left supplement ``eta(gamma(a))``, and the double
+      left supplement restricted to the base equals ``gamma``;
+    * the mirror ``eta(a)`` has left supplement ``a`` and right
+      supplement ``gamma⁻¹(a)``;
     * the base is a normal ideal.
 
-    The base is also maximal among proper ideals, by proof: left
-    absorption at ``b = a`` gives ``a + eta(a) == eta(c)`` with ``c + a ==
-    a``, so ``c == 0`` by cancellation and the sum is the unit; an ideal
-    holding the base and any ``eta(a)`` holds the unit and is the whole
-    carrier.  To decide whether a given table is a unit extension, use
-    :func:`recognize_unitization`.  Equality and the hash follow ``(base,
-    gamma)``, which fix ``algebra``.
+    The base is also maximal among proper ideals: an ideal holding the
+    base and any ``eta(a)`` holds ``a + eta(a)``, the unit, and is the
+    whole carrier.  To decide whether a given table is a unit extension,
+    use :func:`recognize_unitization`.  Equality and the hash follow
+    ``(base, gamma)``, which fix ``algebra``.
     """
 
     base: FiniteGpea
@@ -210,16 +197,12 @@ class UnitizationAlgebra:
     algebra: FiniteGpea = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        g, gamma, n = self.base, tuple(self.gamma), self.base.size
+        g, gamma = self.base, tuple(self.gamma)
         object.__setattr__(self, "gamma", gamma)
         if not is_unitizing(g, gamma):
             raise MalformedTableError("gamma is not a unitizing automorphism of the base")
-        u = _mirror_pasting(g, tuple(range(n)), gamma).validate()
+        u = _mirror_pasting(g, tuple(range(g.size)), gamma).validate()
         object.__setattr__(self, "algebra", u)
-        _check_supplements(u, tuple(range(n)), gamma, gamma)
-        flags = classify_subset(u, range(n))
-        if not (flags.ideal and flags.normal):
-            raise InvariantViolation("base is not a normal ideal of the extension")
 
     @property
     def unit(self) -> int:
@@ -251,8 +234,8 @@ def gamma_unitize(g: FiniteGpea, gamma: Sequence[int]) -> UnitizationAlgebra:
     """Build the unit extension of ``g`` by the unitizing automorphism.
 
     The same as ``UnitizationAlgebra(g, tuple(gamma))``: the result
-    carries the fixed layout, the validated table and the checked
-    supplement laws documented there.
+    carries the fixed layout, the validated table and the supplement
+    laws documented there.
     """
     return UnitizationAlgebra(g, tuple(gamma))
 
@@ -296,9 +279,15 @@ def recognize_unitization(u: FiniteGpea, p: Iterable[int]) -> Recognition:
     Rejections (soft, reported in ``diagnostics``): ``u`` is not unital;
     ``p`` is not a proper subset containing 0; the unit lies in ``p``;
     ``p`` is not closed under defined sums; two elements outside ``p``
-    compose.  Once those clauses hold, the extension structure is forced,
-    so any later mismatch raises :class:`InvariantViolation` instead of
-    rejecting.
+    compose.  Once those clauses hold, the extension's shape is forced.
+    Write ``P`` for the subset and ``Q`` for the rest.  ``rs(p)`` in ``P``
+    would put the unit ``p + rs(p)`` in ``P`` by sum closure, and
+    ``rs(q)`` in ``Q`` would make ``q + rs(q)`` a defined sum of two
+    outside elements.  So the bijection ``rs`` swaps ``P`` and ``Q``, and
+    ``|P| = |Q|``; by the same argument on ``ls(x) + x``, ``ls`` swaps
+    them too, so ``ll`` maps ``P`` into ``P``.  A twist that is not
+    unitizing or a map that is no isomorphism then raises
+    :class:`InvariantViolation` instead of rejecting.
     """
     u.require_validated()
     if not u.flags.has_unit:
@@ -325,11 +314,6 @@ def recognize_unitization(u: FiniteGpea, p: Iterable[int]) -> Recognition:
             if u.defined(x, y):
                 return _reject(f"outside elements compose: {x} + {y} is defined")
 
-    # From here on the shape is forced; failures are genuine violations.
-    if 2 * len(members) != u.size:
-        raise InvariantViolation(
-            "sum-closed complement-free subset with a mismatched mirror size"
-        )
     pos = {old: i for i, old in enumerate(members)}
     base_op = {
         (pos[a], pos[b]): pos[u.value(a, b)]
@@ -342,15 +326,7 @@ def recognize_unitization(u: FiniteGpea, p: Iterable[int]) -> Recognition:
     ).validate()
 
     view = u.pea
-    gamma = []
-    for old in members:
-        twisted = view.ll(old)
-        if twisted not in member_set:
-            raise InvariantViolation(
-                "double left supplement leaves the base subset"
-            )
-        gamma.append(pos[twisted])
-    gamma_t = tuple(gamma)
+    gamma_t = tuple(pos[view.ll(old)] for old in members)
     if not is_unitizing(base, gamma_t):
         raise InvariantViolation(
             "double left supplement does not restrict to a unitizing automorphism"

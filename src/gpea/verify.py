@@ -245,9 +245,9 @@ def _verify_unitization(pairs: list[_Pair], tallies: _Tallies) -> None:
     """Statements about the unit extension itself.
 
     * ``extension_construction`` — the extension builds: the mirror
-      pasting passes the axioms, its supplements follow the twist and
-      the base is a normal ideal (:class:`UnitizationAlgebra`); left
-      supplements and maximality of the base follow by proof.
+      pasting passes the axioms (:class:`UnitizationAlgebra`).  Its
+      supplements follow the twist and the base is a normal maximal
+      ideal by proof, not by a check (see ``_mirror_pasting``).
     * ``base_riesz_iff_upward`` — the base is a Riesz ideal of the
       extension exactly when it is upward directed.
     * ``restriction_to_base`` — every normal Riesz ideal of the extension
@@ -525,13 +525,14 @@ def _verify_kite(tallies: _Tallies) -> None:
     On the pairs where the transfer condition holds (so the pasting is
     defined):
 
-    * ``kite_axioms`` — the pasted table passes all axioms with the
-      mirror of the zero tuple as unit.
+    * ``kite_axioms`` — the pasted table passes all axioms; the mirror
+      of the zero tuple is its unit by proof.
     * ``kite_extension_isomorphism`` — the canonical map from the unit
-      extension of the power onto the pasting is an isomorphism, is the
-      only sum-preserving map fixing the power pointwise, and the
-      supplement maps follow the reindexing formulas with the double
-      left supplement equal to the twist.
+      extension of the power onto the pasting is an isomorphism and the
+      only sum-preserving map fixing the power pointwise.  The supplement
+      maps follow the reindexing formulas, with the double left
+      supplement equal to the twist, by proof, not by a check (see
+      ``unitization._mirror_pasting``).
 
     Work is shared within one (base, index size) and nothing else: each
     gets a freshly built base, in whose ``verdicts`` store the kite

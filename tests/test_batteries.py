@@ -13,17 +13,23 @@ every buildable kite of the ``verify`` grid, with the two deleted
 show that those oracles reach each of their clauses on corrupted views,
 so a passing run of the first test is not vacuous.
 
-``unitization._check_supplements`` and ``kites._iso_report`` still check
-identities that hold for every valid input, so no run on valid input
-reaches their failure clauses.  The other tests feed them corrupted input
-and pin the set of clause messages reached.
+The supplement laws of a mirror pasting and the base as a normal ideal
+are proved in ``unitization._mirror_pasting``'s docstring, and
+``UnitizationAlgebra`` and ``kites._iso_report`` no longer check them.
+``_check_supplements`` below is the deleted check, verbatim.  With the
+deleted normal-ideal check, it runs on every unit extension of every
+algebra of size at most 6, the budget-5 extensions, the benchmark's
+extension bases and every kite of up to 128 elements in
+``test_kernels.SPECS``.  ``kites._iso_report`` still checks identities
+that hold for every valid input.  The last tests feed that check and
+the oracle corrupted input and pin the set of clause messages reached.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import pytest
 
@@ -34,14 +40,17 @@ from gpea import (
     KiteSpec,
     PeaView,
     build_kite,
+    builtin,
     chain,
+    classify_subset,
+    enumerate_unitizing,
     fig1,
     gamma_unitize,
     power_gpea,
 )
 from gpea.catalog import enumerate_gpeas
-from gpea.unitization import _check_supplements
-from test_kernels import BUDGET_FIVE_PAIRS, KITES
+from gpea.unitization import _inverse
+from test_kernels import BENCH_EXTENSIONS, BUDGET_FIVE_PAIRS, KITES, SPECS
 
 IDENTITY6 = (0, 1, 2, 3, 4, 5)
 SWAP6 = (0, 2, 1, 3, 5, 4)
@@ -204,7 +213,76 @@ def test_order_unital_view_and_power_theorems_hold_on_valid_input() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Kept batteries fire on corrupted input
+# The checks a mirror pasting ran before its laws were proved
+# ---------------------------------------------------------------------------
+
+
+def _check_supplements(
+    u: FiniteGpea,
+    left_twist: Sequence[int],
+    right_twist: Sequence[int],
+    twist: Sequence[int],
+) -> None:
+    """The supplement laws of a mirror pasting ``u`` of an ``n``-element base.
+
+    The unit is ``η(0) = n``; a base element ``a`` has right supplement
+    ``η(left_twist(a))`` and left supplement ``η(right_twist(a))``; the
+    mirror ``η(a)`` has left supplement ``left_twist⁻¹(a)`` and right
+    supplement ``right_twist⁻¹(a)``; the double left supplement on the
+    base is ``twist``.  The left map is not compared: the one expected is
+    the inverse of the right one, and ``left_supp`` is the inverse of
+    ``right_supp`` on every unital algebra: ``a + rs(a)`` is the unit, so
+    ``a`` is the left supplement of ``rs(a)`` (see :func:`pea_view`).
+    """
+    n = len(twist)
+    view = u.pea
+    if view.unit != n:
+        raise InvariantViolation("unit of the pasting must be the mirror of 0")
+    if view.right_supp != tuple(x + n for x in left_twist) + _inverse(right_twist):
+        raise InvariantViolation("right supplements break the twist formulas")
+    if tuple(view.ll(a) for a in range(n)) != tuple(twist):
+        raise InvariantViolation("double left supplement differs from the twist")
+
+
+def assert_pasting_laws(
+    u: FiniteGpea,
+    left_twist: Sequence[int],
+    right_twist: Sequence[int],
+    twist: Sequence[int],
+) -> None:
+    """Both deleted checks: the supplement laws, and the base as a normal
+    ideal."""
+    _check_supplements(u, left_twist, right_twist, twist)
+    flags = classify_subset(u, range(len(twist)))
+    assert flags.ideal and flags.normal
+
+
+def test_pasting_laws_hold_on_every_extension_and_kite() -> None:
+    extensions = [
+        gamma_unitize(g, gamma)
+        for n in range(1, 7)
+        for g in enumerate_gpeas(n)
+        for gamma in enumerate_unitizing(g)
+    ]
+    assert len(extensions) == 225
+    extensions += [pair.extension for pair in BUDGET_FIVE_PAIRS]
+    extensions += [
+        gamma_unitize(builtin(expr).validate(), gamma) for expr, gamma in BENCH_EXTENSIONS
+    ]
+    for ua in extensions:
+        identity = tuple(range(ua.base.size))
+        assert_pasting_laws(ua.algebra, identity, ua.gamma, ua.gamma)
+    sizes = set()
+    for _, spec in SPECS:
+        kite = build_kite(spec)
+        lam, rho = map(kite.power.reindexing_permutation, (spec.lam, spec.rho))
+        assert_pasting_laws(kite.algebra, lam, rho, kite.gamma)
+        sizes.add(kite.algebra.size)
+    assert SPECS[: len(KITES)] == KITES and max(sizes) == 128
+
+
+# ---------------------------------------------------------------------------
+# The oracle and the kept battery fire on corrupted input
 # ---------------------------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from gpea import (
     validate_axioms,
 )
 from gpea import catalog, core
-from gpea.catalog import _neutral_op, _passes_axioms, enumerate_gpeas
+from gpea.catalog import _neutral_op, enumerate_gpeas
 
 
 # ------------------------------------------------------------ named instances
@@ -363,7 +363,7 @@ def conjugation_search_tables(n: int) -> Iterator[FiniteGpea]:
         if k == len(cells):
             op = {divmod(cell, n): v for cell, v in enumerate(table) if v != undef}
             g = FiniteGpea(n, op)
-            if _passes_axioms(g):
+            if g._axiom_report.passed:
                 yield g
             return
         i, j = cells[k]
@@ -506,7 +506,7 @@ def associativity_only_search_tables(n: int) -> Iterator[FiniteGpea]:
         if k == len(cells):
             op = {divmod(cell, n): v for cell, v in enumerate(table) if v != undef}
             g = FiniteGpea(n, op)
-            if _passes_axioms(g):
+            if g._axiom_report.passed:
                 yield g
             return
         i, j = cells[k]
@@ -561,7 +561,7 @@ def test_lex_leader_cut_keeps_every_class_minimum(n, count, classes, monkeypatch
         leaves.append(g)
         return validate_axioms(g)
 
-    monkeypatch.setattr(catalog, "validate_axioms", counting_validate)
+    monkeypatch.setattr(core, "validate_axioms", counting_validate)
     tables = list(catalog._search_tables(n))
     keys = [g.table_key() for g in tables]
     assert len(leaves) == len(keys) == len(set(keys)) == count
@@ -645,22 +645,21 @@ def test_search_validates_only_associative_leaves(monkeypatch):
         leaves.append(g)
         return validate_axioms(g)
 
-    monkeypatch.setattr(catalog, "validate_axioms", counting_validate)
+    monkeypatch.setattr(core, "validate_axioms", counting_validate)
     assert len(list(catalog._search_tables(5))) == 15
     assert len(leaves) == 15
 
 
 def test_enumeration_validates_each_leaf_once(monkeypatch):
-    # The search's own check marks a passing leaf validated, so keeping
-    # the class minima does not run validate_axioms on it again.
+    # The search's check is the leaf's one axiom report, which the class
+    # minima's validate() reads instead of running validate_axioms again.
     checked = []
 
     def counting_validate(g):
         checked.append(g)
         return validate_axioms(g)
 
-    for module in (catalog, core):
-        monkeypatch.setattr(module, "validate_axioms", counting_validate)
+    monkeypatch.setattr(core, "validate_axioms", counting_validate)
     classes = enumerate_gpeas(5)
     assert len(checked) == len({id(g) for g in checked}) == 15
     golden = Path(__file__).parent / "golden" / "enumerate-size-5.txt"

@@ -3,11 +3,15 @@
 Kept verbatim as references: the brute-force ``rdp_profile`` (every
 product of the sum pairs of ``a`` and ``b``), the R1/R2 checks that
 scanned members with ``le()`` calls and subtraction lookups, the ideal
-enumeration that re-closed every ``I ∪ {x}`` from scratch, and the
-``value()``-based kite candidate maps.  The kernels must agree with them
-exactly: the whole ``RdpProfile`` with its witnesses, the ideal list in
-its order, the R1/Riesz flags of ``classify_subset`` on every ideal, and
-the candidate maps of each kite.  Inputs are every enumerated algebra of
+enumeration that re-closed every ``I ∪ {x}`` from scratch with the
+fixpoint loop ``ideal_closure`` ran before it shared the sweep's
+worklist, and the ``value()``-based kite candidate maps.  The kernels
+must agree with them exactly: the whole ``RdpProfile`` with its
+witnesses, the ideal list in its order, the R1/Riesz flags of
+``classify_subset`` on every ideal, and the candidate maps of each kite;
+and ``ideal_closure`` must agree with the fixpoint loop on every seed
+of the algebras of size at most 5 and of the budget-5 extensions.
+Inputs are every enumerated algebra of
 size at most 5 with its unit extension under each unitizing twist, the
 buildable kites of the ``verify`` grid, and a deterministic
 ``hypothesis`` stream of valid tables.
@@ -46,7 +50,6 @@ from typing import Iterator
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import gpea.unitization
 from gpea import (
     AlgebraError,
     FiniteGpea,
@@ -265,6 +268,23 @@ def brute_check_r2(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
     return True
 
 
+def fixpoint_ideal_closure(g: FiniteGpea, seed: int) -> int:
+    """Least ideal (as bitmask) containing the seed bitmask."""
+    down = g.order.down_masks
+    mask = seed | 1  # ideals contain 0
+    while True:
+        new = mask
+        for x in range(g.size):
+            if mask >> x & 1:
+                new |= down[x]
+        for a, b, s in g.sums:
+            if new >> a & 1 and new >> b & 1:
+                new |= 1 << s
+        if new == mask:
+            return mask
+        mask = new
+
+
 def closure_enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
     """All ideals, smallest first (by size, then by sorted members).
 
@@ -275,13 +295,13 @@ def closure_enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
     g.require_validated()
     n = g.size
     seen: set[int] = set()
-    frontier = [ideal_closure(g, 1)]
+    frontier = [fixpoint_ideal_closure(g, 1)]
     seen.add(frontier[0])
     while frontier:
         current = frontier.pop()
         for x in range(n):
             if not current >> x & 1:
-                grown = ideal_closure(g, current | 1 << x)
+                grown = fixpoint_ideal_closure(g, current | 1 << x)
                 if grown not in seen:
                     seen.add(grown)
                     frontier.append(grown)
@@ -374,6 +394,15 @@ def test_enumerated_algebras_and_their_unit_extensions(size):
             assert_kernels_match(gamma_unitize(g, gamma).algebra)
             checked += 1
     assert checked > 0
+
+
+def test_ideal_closure_matches_the_fixpoint_loop():
+    """Every seed of every algebra of size at most 5 and of every
+    budget-5 unit extension."""
+    algebras = ENUMERATED + [p.extension.algebra for p in BUDGET_FIVE_PAIRS]
+    for g in algebras:
+        for seed in range(1 << g.size):
+            assert ideal_closure(g, seed) == fixpoint_ideal_closure(g, seed), (g, seed)
 
 
 def verify_grid_kites() -> list[tuple[str, KiteSpec]]:
@@ -953,14 +982,14 @@ def test_quotient_unitization_matches_the_rebuild_on_budget_five_pairs():
 
 def test_quotient_unitization_builds_no_checked_extension(monkeypatch):
     calls = []
-    check = gpea.unitization._check_supplements
+    build = UnitizationAlgebra.__post_init__
 
-    def counted(*args):
-        calls.append(args)
-        check(*args)
+    def counted(self):
+        calls.append(self)
+        build(self)
 
     extensions = [p.extension for p in BUDGET_FIVE_PAIRS[:20]]
-    monkeypatch.setattr(gpea.unitization, "_check_supplements", counted)
+    monkeypatch.setattr(UnitizationAlgebra, "__post_init__", counted)
     verdicts = [
         quotient_unitization(ua, rel)
         for ua in extensions

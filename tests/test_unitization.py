@@ -221,6 +221,37 @@ def test_recognition_soft_rejections(fig1_algebra):
     assert not recognize_unitization(ua.algebra, {1, 2, 3, 4, 5, 6}).recognized
 
 
+def passes_soft_clauses(u, members: frozenset[int]) -> bool:
+    """The clauses ``recognize_unitization`` rejects softly, on a unital
+    ``u``."""
+    outside = [x for x in u.elements if x not in members]
+    return (
+        0 in members
+        and u.pea.unit not in members
+        and all(s in members for a, b, s in u.sums if a in members and b in members)
+        and not any(u.defined(x, y) for x in outside for y in outside)
+    )
+
+
+def test_recognition_shape_is_forced_by_the_soft_clauses():
+    """Every subset of every unital algebra of size at most 7 that passes
+    the soft clauses has as many members as non-members, and the double
+    left supplement maps it into itself; recognition then succeeds."""
+    algebras = passing = 0
+    for n in range(1, 8):
+        for u in enumerate_gpeas(n, has_unit=True):
+            algebras += 1
+            for bits in range(1 << n):
+                members = frozenset(x for x in u.elements if bits >> x & 1)
+                if not passes_soft_clauses(u, members):
+                    continue
+                assert 2 * len(members) == n
+                assert all(u.pea.ll(x) in members for x in members)
+                assert recognize_unitization(u, members).recognized
+                passing += 1
+    assert (algebras, passing) == (42, 10)
+
+
 # ---------------------------------------------------------------------- states
 
 
