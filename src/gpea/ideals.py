@@ -841,16 +841,24 @@ def normal_riesz_ideals(
     include_improper: bool = True,
 ) -> list[frozenset[int]]:
     """All normal Riesz ideals but ``{0}``, optionally twist-closed."""
-    out = []
-    for members in enumerate_ideals(g):
-        if members == frozenset({0}):
-            continue
-        if not include_improper and len(members) == g.size:
-            continue
-        flags = classify_subset(g, members, gamma)
-        if flags.normal and flags.riesz and (gamma is None or flags.gamma_closed):
-            out.append(members)
-    return out
+    return [
+        members
+        for members in enumerate_ideals(g)
+        if _in_family(g, members, gamma, include_improper)
+    ]
+
+
+def _in_family(
+    g: FiniteGpea,
+    members: frozenset[int],
+    gamma: Sequence[int] | None,
+    include_improper: bool,
+) -> bool:
+    """Whether the ideal ``members`` is one of :func:`normal_riesz_ideals`."""
+    if members == frozenset({0}) or (not include_improper and len(members) == g.size):
+        return False
+    flags = classify_subset(g, members, gamma)
+    return flags.normal and flags.riesz and (gamma is None or bool(flags.gamma_closed))
 
 
 def smallest_normal_riesz_ideal(
@@ -859,21 +867,24 @@ def smallest_normal_riesz_ideal(
     include_improper: bool = True,
 ) -> frozenset[int] | None:
     """The nontrivial normal Riesz (twist-closed) ideal contained in all
-    others, or ``None`` when the family is empty or has no minimum."""
-    return least_ideal(
-        normal_riesz_ideals(g, gamma, include_improper=include_improper)
-    )
+    others, or ``None`` when the family is empty or has no minimum.
 
-
-def least_ideal(family: Sequence[frozenset[int]]) -> frozenset[int] | None:
-    """The member of ``family`` contained in all others, or ``None`` when
-    the family is empty or has no minimum."""
-    if not family:
-        return None
-    candidate = min(family, key=len)
-    if all(candidate <= other for other in family):
-        return candidate
-    return None
+    The ideals are scanned smallest first, as :func:`enumerate_ideals`
+    lists them.  The first member of the family is the only candidate: a
+    least member has the smallest size.  It is the least member exactly
+    when every other member contains it, so after it the scan classifies
+    only the ideals that do not contain it, and stops at the first of
+    those in the family.
+    """
+    candidate: frozenset[int] | None = None
+    for members in enumerate_ideals(g):
+        if candidate is not None and candidate <= members:
+            continue
+        if _in_family(g, members, gamma, include_improper):
+            if candidate is not None:
+                return None
+            candidate = members
+    return candidate
 
 
 # ------------------------------------------------------------- congruences

@@ -39,11 +39,13 @@ base: the power per index size (key ``("power", k)``); per twist
 (``spec.twist_indices``) the reindexing permutation and its unitizing
 verdict (``"twist"``), the orbits with their support check
 (``"orbits"``), the unit extension (``"extension"``), the twist's first
-kite (``"first kite"``) and that kite's RDP₁ verdict and normal Riesz
-ideals (``"refinement"``); per spec (``lam``, ``rho``) the kite
-(``"kite"``) and its isomorphism report (``"iso"``).  Calls over one base
-share that work and return the same frozen objects; the RDP₁ verdict and
-ideals of a twist's first kite reach its other kites through two such
+kite (``"first kite"``) and that kite's RDP₁ verdict with its least
+nontrivial normal Riesz ideal under the improper-included and the
+proper-only readings, each ``None`` when there is none
+(``"refinement"``); per spec (``lam``, ``rho``) the kite (``"kite"``) and
+its isomorphism report (``"iso"``).  Calls over one base share that work
+and return the same frozen objects; the RDP₁ verdict and least ideals of
+a twist's first kite reach its other kites through two such
 isomorphisms, both checked.
 """
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import (
     BudgetExceededError,
@@ -62,7 +64,7 @@ from .core import (
     element_budget,
     is_isomorphism,
 )
-from .ideals import _stored, classify_subset, least_ideal, normal_riesz_ideals
+from .ideals import _stored, classify_subset, smallest_normal_riesz_ideal
 from .rdp import rdp_profile
 from .unitization import (
     UnitizationAlgebra,
@@ -393,9 +395,13 @@ class ConnectivityReport:
     ``kite_smallest_proper`` the smallest nontrivial normal Riesz ideal
     of the kite under the improper-included and proper-only readings,
     and ``implication_checked`` whether the consequence "a smallest
-    ideal forces a connected index set" was armed (upward-directed base,
-    transfer condition, refinement property) — in which case a violation
-    would have raised.
+    ideal forces a connected index set" was armed (a base of more than
+    one element that is upward directed, the transfer condition, the
+    refinement property) — in which case a violation would have raised.
+    Over the one-element base every index set gives the same
+    two-element kite, whose whole carrier is its smallest ideal, so that
+    kite tells nothing about connectivity and the consequence is not
+    armed there.
     """
 
     components: tuple[frozenset[int], ...]
@@ -410,16 +416,21 @@ class ConnectivityReport:
 def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     """Partition the index set into twist orbits and verify the consequences.
 
-    The RDP₁ verdict and the normal Riesz ideals are computed on the first
-    kite of the twist asked about on this base.  A later kite of the twist
-    takes the verdict unchanged and the ideals mapped through
+    The RDP₁ verdict and the two least nontrivial normal Riesz ideals
+    (improper-included and proper-only, see
+    :func:`smallest_normal_riesz_ideal`) are computed on the first kite of
+    the twist asked about on this base.  A later kite of the twist takes
+    the verdict unchanged and the least ideals mapped through
     ``φ_spec ∘ φ_first⁻¹``.  Both maps are isomorphisms from the twist's
     unit extension onto a kite, checked by :func:`kite_iso`, so the
     composite is an isomorphism from the first kite onto the later one;
-    RDP₁ is invariant under it and it maps the first kite's normal Riesz
-    ideals exactly onto the later kite's.  So the first call of a twist
-    builds the power and, when the transfer condition holds within
-    budget, the kite, and builds no unit extension.
+    RDP₁ is invariant under it, and it maps the first kite's normal Riesz
+    ideals exactly onto the later kite's, so their least members too.  So
+    the first call of a twist builds the power and, when the transfer
+    condition holds within budget, the kite, and builds no unit
+    extension.  The consequence "a smallest ideal forces a connected
+    index set" is armed only over a base of more than one element (see
+    :class:`ConnectivityReport`).
     """
     gamma = kite_gamma(spec)
     base, sigma = spec.base, spec.twist_indices
@@ -428,14 +439,20 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
         return _connectivity_report(spec, orbits, None)
     first = _stored(base, ("first kite", sigma), lambda: spec)
     g = build_kite(first).algebra
-    rdp1, family = _stored(
-        base, ("refinement", sigma), lambda: (rdp_profile(g).rdp1, normal_riesz_ideals(g))
+    rdp1, *least = _stored(
+        base,
+        ("refinement", sigma),
+        lambda: (
+            rdp_profile(g).rdp1,
+            smallest_normal_riesz_ideal(g),
+            smallest_normal_riesz_ideal(g, include_improper=False),
+        ),
     )
     if (first.lam, first.rho) != (spec.lam, spec.rho):
         to_spec = kite_iso(spec).phi
         carry = [to_spec[x] for x in _inverse(kite_iso(first).phi)]
-        family = [frozenset(carry[x] for x in members) for members in family]
-    return _connectivity_report(spec, orbits, (rdp1, family))
+        least = [None if m is None else frozenset(carry[x] for x in m) for m in least]
+    return _connectivity_report(spec, orbits, (rdp1, *least))
 
 
 def _orbits(
@@ -489,12 +506,13 @@ def _orbits(
 def _connectivity_report(
     spec: KiteSpec,
     orbits: tuple[tuple[frozenset[int], ...], int],
-    refinement: tuple[bool, Sequence[frozenset[int]]] | None,
+    refinement: tuple[bool, frozenset[int] | None, frozenset[int] | None] | None,
 ) -> ConnectivityReport:
     """Assemble the report from the checked orbits.
 
-    ``refinement`` is the kite's RDP₁ verdict and its nontrivial normal
-    Riesz ideals, or ``None`` when no kite is built.
+    ``refinement`` is the kite's RDP₁ verdict and its least nontrivial
+    normal Riesz ideal under the improper-included and the proper-only
+    readings, or ``None`` when no kite is built.
     """
     components, pairs = orbits
     connected = len(components) == 1
@@ -503,13 +521,9 @@ def _connectivity_report(
     smallest_proper: frozenset[int] | None = None
     implication_checked = False
     if refinement is not None:
-        kite_rdp1, family = refinement
-        smallest = least_ideal(family)
-        kite_size = 2 * spec.base.size**spec.index_size
-        smallest_proper = least_ideal(
-            [members for members in family if len(members) != kite_size]
-        )
-        if spec.base.flags.upward_directed and kite_rdp1:
+        kite_rdp1, smallest, smallest_proper = refinement
+        base = spec.base
+        if base.size > 1 and base.flags.upward_directed and kite_rdp1:
             implication_checked = True
             if smallest is not None and not connected:
                 raise InvariantViolation(

@@ -22,8 +22,15 @@ corner ``e11`` runs over the common lower bounds of ``a`` and ``c``;
 cancellation then fixes the rest by subtraction (``e12`` with
 ``e11 + e12 == a``, ``e21`` with ``e11 + e21 == c``, ``e22`` with
 ``e21 + e22 == b``), leaving only ``e12 + e22 == d`` to test, so each
-refinement is found exactly once.  RDP0 collects, per defined ``b + c``,
-the bitmask of all sums ``b1 + c1`` below it.
+refinement is found exactly once.  Each identity is also checked once up
+to transposition: only ``(a, b, c, d)`` with ``(a, b)`` before ``(c, d)``.
+Transposing a refinement of ``(a, b, c, d)`` (swapping ``e12`` and
+``e21``) gives a refinement of ``(c, d, a, b)``, and both the RDP1
+commute-below test and the RDP2 meet test are symmetric in ``e12`` and
+``e21``, so the two identities fail together, and the lexicographically
+smallest failure, the witness, has ``(a, b) < (c, d)``.  The identity
+``a + b == a + b`` always refines as ``(a, 0; 0, b)``.  RDP0 collects,
+per defined ``b + c``, the bitmask of all sums ``b1 + c1`` below it.
 
 For a total base algebra, each of the four properties holds in the base
 exactly when it holds in any of its unit extensions; ``rdp_transfer``
@@ -96,8 +103,10 @@ def rdp_profile(g: FiniteGpea) -> RdpProfile:
     commutes: dict[int, bool] = {}  # e12 * n + e21 -> "commutes below"
     rdp = rdp1 = rdp2 = True
     w_rdp = w_rdp1 = w_rdp2 = None
+    met = [0] * n  # met[s]: the pairs of sum s met so far, (a, b) included
     for a, b, s in g.sums:
-        for c, d in pairs[s]:
+        met[s] += 1
+        for c, d in pairs[s][met[s]:]:  # (c, d) after (a, b): see the module docstring
             found = False
             found1, found2 = not rdp1, not rdp2  # a later failure is no witness
             for e11 in below[a]:

@@ -378,6 +378,26 @@ def test_kite_refuses_without_transfer_condition(capsys):
     assert "transfer condition" in err
 
 
+@pytest.mark.parametrize("perm", ["0,1", "1,0"])
+def test_kite_over_the_one_element_base_does_not_arm_the_implication(
+    capsys, tmp_path, perm
+):
+    """Every index set gives the two-element kite over the one-element
+    base, whose whole carrier is its smallest normal Riesz ideal; with two
+    orbits the kite says nothing about connectivity, so nothing raises."""
+    target = tmp_path / "k.gpea"
+    argv = ["kite", "--base", "chain(0)", "--index", "2", "--lambda", perm]
+    code, out, err = invoke(capsys, [*argv, "--rho", perm, "-o", str(target)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "RESULT kci=true",
+        "RESULT kcii=true",
+        "RESULT size=2",
+        "RESULT connected=false",
+        f"WROTE {target}",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # rdp
 # ---------------------------------------------------------------------------

@@ -10,11 +10,17 @@ must agree with them exactly: the whole ``RdpProfile`` with its
 witnesses, the ideal list in its order, the R1/Riesz flags of
 ``classify_subset`` on every ideal, and the candidate maps of each kite;
 and ``ideal_closure`` must agree with the fixpoint loop on every seed
-of the algebras of size at most 5 and of the budget-5 extensions.
+of the algebras of size at most 5 and of the budget-5 extensions.  The
+short-circuit scan of ``smallest_normal_riesz_ideal`` must give the
+least member of the whole ``normal_riesz_ideals`` family (``least_ideal``,
+kept here), in both readings, with no twist, with each unitizing twist,
+and on the unit extensions; with a twist that is no automorphism both
+sides must raise alike.
 Inputs are every enumerated algebra of
 size at most 5 with its unit extension under each unitizing twist, the
-buildable kites of the ``verify`` grid, and a deterministic
-``hypothesis`` stream of valid tables.
+buildable kites of the ``verify`` grid (and, for the scan, the kites over
+the one-element base), and a deterministic ``hypothesis`` stream of
+valid tables.
 
 The table builders are compared with the loops they replaced: the
 tuple-walking power, the per-coordinate kite clauses and the
@@ -76,14 +82,17 @@ from gpea import (
     enumerate_unitizing,
     extend_congruence,
     fig1,
+    find_morphisms,
     gamma_unitize,
     ideal_closure,
     is_unitizing,
+    normal_riesz_ideals,
     power_gpea,
     quotient,
     quotient_unitization,
     rdp_profile,
     sim_from_ideal,
+    smallest_normal_riesz_ideal,
     standard_instances,
     validate_axioms,
 )
@@ -311,6 +320,17 @@ def closure_enumerate_ideals(g: FiniteGpea) -> list[frozenset[int]]:
     return sorted(subsets, key=lambda s: (len(s), sorted(s)))
 
 
+def least_ideal(family: list[frozenset[int]]) -> frozenset[int] | None:
+    """The member of ``family`` contained in all others, or ``None`` when
+    the family is empty or has no minimum."""
+    if not family:
+        return None
+    candidate = min(family, key=len)
+    if all(candidate <= other for other in family):
+        return candidate
+    return None
+
+
 def value_candidate_maps(
     u: FiniteGpea, kite: FiniteGpea, m: int
 ) -> Iterator[tuple[int, ...]]:
@@ -459,6 +479,82 @@ def test_random_subsets(g, bits):
     inside = [x for x in range(g.size) if mask >> x & 1]
     assert _check_r1(g, mask, inside) == brute_check_r1(g, mask, inside)
     assert _check_r2(g, mask, inside) == brute_check_r2(g, mask, inside)
+
+
+# ---------------------------------------------------------------------------
+# The least normal Riesz ideal: the short-circuit scan against the family
+# ---------------------------------------------------------------------------
+
+
+def assert_scan_matches(g: FiniteGpea, gamma=None) -> None:
+    """Both readings of ``smallest_normal_riesz_ideal`` equal the least
+    member of the whole family, or both raise alike."""
+    for improper in (True, False):
+        scan = outcome(smallest_normal_riesz_ideal, g, gamma, improper)
+        family = outcome(normal_riesz_ideals, g, gamma, improper)
+        expected = family if isinstance(family, tuple) else least_ideal(family)
+        assert scan == expected, (g, gamma, improper)
+
+
+def bad_twists(g: FiniteGpea) -> list[tuple[int, ...]]:
+    """A rotation (never an automorphism: it moves 0), every transposition
+    of two nonzero elements that is not an automorphism, and a map that is
+    not a permutation."""
+    n = g.size
+    twists = [tuple((x + 1) % n for x in range(n)), (0,) * n]
+    autos = set(find_morphisms(g, g))
+    for a, b in itertools.combinations(range(1, n), 2):
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        if tuple(swap) not in autos:
+            twists.append(tuple(swap))
+    return twists
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_least_ideal_scan_on_small_algebras_and_their_extensions(size):
+    checked = 0
+    for g in ENUMERATED:
+        if g.size != size:
+            continue
+        assert_scan_matches(g)
+        for gamma in enumerate_unitizing(g):
+            assert_scan_matches(g, gamma)
+            assert_scan_matches(gamma_unitize(g, gamma).algebra)
+            checked += 1
+        if size > 1:
+            for gamma in bad_twists(g):
+                assert_scan_matches(g, gamma)
+                assert isinstance(outcome(smallest_normal_riesz_ideal, g, gamma), tuple)
+    assert checked > 0
+
+
+def one_element_base_kites() -> list[KiteSpec]:
+    return [
+        KiteSpec(chain(0), k, lam, rho)
+        for k in (1, 2, 3)
+        for lam in itertools.permutations(range(k))
+        for rho in itertools.permutations(range(k))
+    ]
+
+
+def test_least_ideal_scan_on_kites():
+    """The 18 grid kites have none; over the one-element base the whole
+    two-element carrier is the least."""
+    for _, spec in KITES:
+        assert_scan_matches(build_kite(spec).algebra)
+        assert smallest_normal_riesz_ideal(build_kite(spec).algebra) is None
+    for spec in one_element_base_kites():
+        kite = build_kite(spec).algebra
+        assert_scan_matches(kite)
+        assert smallest_normal_riesz_ideal(kite) == {0, 1}
+
+
+@settings(max_examples=150)
+@given(valid_tables(), st.data())
+def test_least_ideal_scan_on_random_tables(g, data):
+    assert_scan_matches(g)
+    assert_scan_matches(g, data.draw(st.permutations(range(g.size))))
 
 
 # ---------------------------------------------------------------------------

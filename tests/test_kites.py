@@ -30,9 +30,10 @@ from gpea import (
 )
 from gpea.cli import run as cli_run
 from gpea.core import element_budget
-from gpea.ideals import classify_subset, least_ideal, normal_riesz_ideals
+from gpea.ideals import classify_subset, normal_riesz_ideals
 from gpea.rdp import rdp_profile
 from gpea.verify import run_verify
+from test_kernels import least_ideal
 
 
 def identity(k: int) -> tuple[int, ...]:
@@ -459,7 +460,8 @@ def reference_index_connectivity(spec: KiteSpec) -> ConnectivityReport:
         smallest_proper = least_ideal(
             [members for members in family if len(members) != kite.algebra.size]
         )
-        if spec.base.flags.upward_directed and kite_rdp1:
+        base = spec.base
+        if base.size > 1 and base.flags.upward_directed and kite_rdp1:
             implication_checked = True
             if smallest is not None and not connected:
                 raise InvariantViolation(
@@ -493,12 +495,11 @@ def spec_key(spec: KiteSpec) -> tuple:
 
 
 def test_verify_kite_scope_carries_exact_results(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Each spec's report, isomorphism and carried ideal family, as verify
+    """Each spec's report, isomorphism and carried least ideals, as verify
     computes them, against a per-spec recomputation on the spec's own kite.
 
-    No grid kite has a smallest normal Riesz ideal, so equal reports alone
-    would not notice a family copied from the twist's first kite instead of
-    mapped through the two isomorphisms; the family comparison does.
+    No grid kite has a smallest normal Riesz ideal, so this alone would not
+    notice a wrong carrying map; the next two tests check the map.
     """
     reports: dict[tuple, tuple] = {}
     isos: dict[tuple, tuple] = {}
@@ -533,13 +534,50 @@ def test_verify_kite_scope_carries_exact_results(monkeypatch: pytest.MonkeyPatch
             continue
         buildable += 1
         kite = build_kite(spec).algebra
-        rdp1, family = refinement
-        assert rdp1 == rdp_profile(kite).rdp1
-        assert len(family) == len(set(family))
-        assert set(family) == set(normal_riesz_ideals(kite)), spec
+        assert refinement == (rdp_profile(kite).rdp1, *direct_least_ideals(kite)), spec
         expected = kite_iso(spec)
         assert isos[spec_key(spec)] == (expected.phi, expected.searched_exhaustively)
     assert buildable == len(isos) == 18
+
+
+def direct_least_ideals(kite) -> tuple:
+    """The least member of the kite's own normal Riesz ideals, improper
+    included and proper only."""
+    return tuple(
+        least_ideal(normal_riesz_ideals(kite, include_improper=improper))
+        for improper in (True, False)
+    )
+
+
+@pytest.mark.parametrize(
+    "base", [chain(0), enumerate_gpeas(3)[1]], ids=["chain0", "n3#1"]
+)
+def test_carried_least_ideals_where_one_exists(
+    monkeypatch: pytest.MonkeyPatch, base
+) -> None:
+    """Kites with a least ideal, every spec of index size 1 and 2 in
+    order, so a later spec of a twist carries it: over the one-element
+    base it is ``{0, 1}``, over ``enumerate_gpeas(3)[1]`` the whole
+    carrier."""
+    carried = []
+    connectivity_report = gpea.kites._connectivity_report
+
+    def record(spec, orbits, refinement):
+        carried.append((spec, refinement))
+        return connectivity_report(spec, orbits, refinement)
+
+    monkeypatch.setattr(gpea.kites, "_connectivity_report", record)
+    for k in (1, 2):
+        for lam, rho in itertools.product(itertools.permutations(range(k)), repeat=2):
+            index_connectivity(KiteSpec(base=base, index_size=k, lam=lam, rho=rho))
+    monkeypatch.undo()
+    buildable = [(spec, refinement) for spec, refinement in carried if refinement]
+    assert len(buildable) == (5 if base.size == 1 else 3)
+    for spec, refinement in buildable:
+        kite = build_kite(spec).algebra
+        least = direct_least_ideals(kite)
+        assert least[0] == frozenset(range(kite.size)), spec
+        assert refinement == (rdp_profile(kite).rdp1, *least), spec
 
 
 def test_carried_ideals_undo_the_first_kites_isomorphism(
@@ -547,22 +585,30 @@ def test_carried_ideals_undo_the_first_kites_isomorphism(
 ) -> None:
     """On verify's grid every twist's first kite has ``lam`` the identity,
     so its isomorphism is the identity too.  With the swap spec first, the
-    identity spec's ideals are carried through ``φ_id ∘ φ_swap⁻¹`` and must
-    still be that kite's own."""
-    families = {}
-    connectivity_report = gpea.kites._connectivity_report
-
-    def record(spec, orbits, refinement):
-        families[spec.lam] = refinement[1]
-        return connectivity_report(spec, orbits, refinement)
-
-    monkeypatch.setattr(gpea.kites, "_connectivity_report", record)
-    base = chain(1)
-    for lam in ((1, 0), (0, 1)):
-        spec = KiteSpec(base=base, index_size=2, lam=lam, rho=lam)
-        assert index_connectivity(spec) == reference_index_connectivity(spec)
-        assert set(families[lam]) == set(normal_riesz_ideals(build_kite(spec).algebra))
-    assert set(families[(1, 0)]) != set(families[(0, 1)])
+    identity spec's least ideals are carried through ``φ_id ∘ φ_swap⁻¹``.
+    The swap kite has no least ideal, so each of its normal Riesz ideals
+    is planted in turn as its least proper one: the carried sets must be
+    exactly the identity kite's own normal Riesz ideals."""
+    swap, same = ((1, 0), (1, 0)), ((0, 1), (0, 1))
+    kites = [build_kite(KiteSpec(chain(1), 2, *lr)).algebra for lr in (swap, same)]
+    family, own = map(normal_riesz_ideals, kites)
+    carried = []
+    for planted in family:
+        monkeypatch.setattr(
+            gpea.kites,
+            "smallest_normal_riesz_ideal",
+            lambda g, include_improper=True: None if include_improper else planted,
+        )
+        base = chain(1)
+        first, later = (
+            index_connectivity(KiteSpec(base, 2, *lr)) for lr in (swap, same)
+        )
+        assert first.kite_smallest_proper == planted
+        assert later.kite_smallest is None
+        carried.append(later.kite_smallest_proper)
+    monkeypatch.undo()
+    assert len(set(carried)) == len(family) and set(carried) == set(own)
+    assert set(family) != set(own)
 
 
 def test_public_connectivity_matches_the_per_spec_reference() -> None:
@@ -578,7 +624,7 @@ def count_kite_work(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
             "_paste",
             "gamma_unitize",
             "rdp_profile",
-            "normal_riesz_ideals",
+            "smallest_normal_riesz_ideal",
             "is_unitizing",
             "classify_subset",
         ),
@@ -603,8 +649,8 @@ def test_verify_kite_scope_builds_each_shared_algebra_once(
     """One power per (base, index size), one kite per buildable spec, and
     per distinct twist (18 on the grid; every buildable grid spec has the
     identity twist) one unitizing check, one orbit support check, and, when
-    the twist has kites, one unit extension with one RDP and one ideal
-    sweep."""
+    the twist has kites, one unit extension with one RDP and two
+    least-ideal scans, one per reading."""
     counts = count_kite_work(monkeypatch)
     run_verify("kite", 2)
     assert counts == {
@@ -612,7 +658,7 @@ def test_verify_kite_scope_builds_each_shared_algebra_once(
         "_paste": 18,
         "gamma_unitize": 6,
         "rdp_profile": 6,
-        "normal_riesz_ideals": 6,
+        "smallest_normal_riesz_ideal": 12,
         "is_unitizing": 18,
         "classify_subset": 28,
     }
@@ -650,7 +696,7 @@ def test_single_kite_command_builds_no_extension(
         "_paste": 1,
         "gamma_unitize": 0,
         "rdp_profile": 1,
-        "normal_riesz_ideals": 1,
+        "smallest_normal_riesz_ideal": 2,
         "is_unitizing": 1,
         "classify_subset": 2,
     }
