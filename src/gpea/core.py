@@ -665,12 +665,18 @@ class MorphismPlan:
     keeps all three, and ``profile`` is their sorted list.  ``steps``
     places every nonzero element once, in order: ``(x, None)`` is a
     branch element and ``(x, (a, b))`` an element equal to ``a + b`` for
-    elements ``a`` and ``b`` placed before it.
+    elements ``a`` and ``b`` placed before it.  ``checks[k]`` lists the
+    defined sums ``(a, b, a + b)`` whose last element to be placed is the
+    one of step ``k``, so each sum is listed once.  Two kinds of sum are
+    left out, as every map the search builds keeps them: the sum a step
+    is forced by, and a sum with the summand 0, which the neutrality of
+    the target keeps.
     """
 
     invariants: tuple[tuple[int, int, int], ...]
     profile: tuple[tuple[int, int, int], ...]
     steps: tuple[tuple[int, tuple[int, int] | None], ...]
+    checks: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 def _morphism_plan(g: FiniteGpea) -> MorphismPlan:
@@ -704,7 +710,18 @@ def _morphism_plan(g: FiniteGpea) -> MorphismPlan:
                         steps.append((s, (a, b)))
                         placed.append(s)
             k += 1
-    return MorphismPlan(invariants, tuple(sorted(invariants)), tuple(steps))
+    step_of = [-1] * n
+    for k, (x, _) in enumerate(steps):
+        step_of[x] = k
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in steps]
+    for a, b, s in g.sums:
+        if a and b:
+            k = max(step_of[a], step_of[b], step_of[s])
+            if steps[k][1] != (a, b):
+                checks[k].append((a, b, s))
+    return MorphismPlan(
+        invariants, tuple(sorted(invariants)), tuple(steps), tuple(map(tuple, checks))
+    )
 
 
 def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
@@ -718,8 +735,16 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
     The search follows ``p.morphism_plan``: a branch element tries each
     unused image with its invariants, and an element that is a sum of
     elements placed before it takes the sum of their images in ``q``.
-    Every placement must agree with the placed elements pairwise, and
-    every full map is checked with :func:`is_isomorphism`.
+    Each step then tests the sums of ``p`` it closes (``checks``):
+    ``φa + φb == φ(a + b)`` in ``q``.  So each defined sum is tested
+    once, at the step that places the last of its three elements, unless
+    every map the search builds keeps it, and a full map needs no
+    further check.  It is a bijection, and it takes every defined sum of
+    ``p`` to a defined sum of ``q``; equal profiles give both algebras
+    the same number of defined sums, and ``(a, b) -> (φa, φb)`` is
+    injective, so the defined pairs of ``p`` go onto those of ``q`` and
+    the undefined pairs onto the undefined ones: ``φ`` is an
+    isomorphism.  Every isomorphism passes every test, so none is lost.
     """
     p.require_validated()
     q.require_validated()
@@ -727,39 +752,20 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
     if plan.profile != q.morphism_plan.profile:  # so the sizes are equal too
         return []
     n = p.size
-    p_table = p.table
     q_table = q.table
     invariants = plan.invariants
     q_invariants = q.morphism_plan.invariants
     steps = plan.steps
-    placed = [0] + [x for x, _ in steps]
+    checks = plan.checks
     results: list[tuple[int, ...]] = []
-    # ``phi`` and ``used`` carry the sentinel ``n`` at index ``n``: an
-    # undefined sum maps to an undefined sum and is never an image.
-    phi: list[int | None] = [0] + [None] * (n - 1) + [n]
+    phi = [0] * n
+    # ``used`` carries the sentinel ``n`` at index ``n``: a forced image
+    # is ``n`` when the sum of the summands' images is undefined in ``q``.
     used = [True] + [False] * (n - 1) + [True]
-
-    def fits(x: int, w: int, k: int) -> bool:
-        """Whether ``x -> w`` agrees with each placed ``y`` on both sums.
-
-        The image of ``x + y`` (and of ``y + x``) must be the sum of the
-        images, or, for a sum not placed yet, some defined element.
-        """
-        for y in placed[: k + 2]:
-            fy = phi[y]
-            m, t = phi[p_table[x * n + y]], q_table[w * n + fy]
-            if m != t and (m is not None or t == n):
-                return False
-            m, t = phi[p_table[y * n + x]], q_table[fy * n + w]
-            if m != t and (m is not None or t == n):
-                return False
-        return True
 
     def extend(k: int) -> None:
         if k == len(steps):
-            img = tuple(phi[:n])  # fully assigned
-            if is_isomorphism(p, q, img):
-                results.append(img)
+            results.append(tuple(phi))
             return
         x, summands = steps[k]
         if summands is None:
@@ -767,15 +773,18 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
         else:
             a, b = summands
             images = (q_table[phi[a] * n + phi[b]],)
+        closing = checks[k]
         for w in images:
             if used[w] or q_invariants[w] != invariants[x]:
                 continue
             phi[x] = w
-            used[w] = True
-            if fits(x, w, k):
+            for c, d, e in closing:
+                if q_table[phi[c] * n + phi[d]] != phi[e]:
+                    break
+            else:
+                used[w] = True
                 extend(k + 1)
-            phi[x] = None
-            used[w] = False
+                used[w] = False
 
     extend(0)
     return sorted(results)
@@ -785,16 +794,16 @@ def is_isomorphism(p: FiniteGpea, q: FiniteGpea, phi: Sequence[int]) -> bool:
     """Whether ``phi`` is a bijection transferring definedness and sums exactly.
 
     ``phi[a]`` is the image of ``a``; a map that is not a permutation of
-    the carrier, or algebras of different sizes, give ``False``.
+    the carrier, or algebras of different sizes, give ``False``.  One test
+    per defined sum of ``p`` suffices, with no axiom assumed, so raw
+    tables are judged exactly too: when ``p`` and ``q`` have equally many
+    defined sums and ``phi`` takes each defined sum of ``p`` to a defined
+    sum of ``q``, the injective ``(a, b) -> (phi[a], phi[b])`` maps the
+    defined pairs of ``p`` onto those of ``q``, so the undefined pairs go
+    to undefined pairs.
     """
     n = p.size
-    if q.size != n or sorted(phi) != list(range(n)):
+    if q.size != n or sorted(phi) != list(range(n)) or len(p.sums) != len(q.sums):
         return False
-    p_table = p.table
     q_table = q.table
-    for a in range(n):
-        for b in range(n):
-            s = p_table[a * n + b]
-            if q_table[phi[a] * n + phi[b]] != (n if s == n else phi[s]):
-                return False
-    return True
+    return all(q_table[phi[a] * n + phi[b]] == phi[s] for a, b, s in p.sums)

@@ -840,7 +840,13 @@ def normal_riesz_ideals(
     gamma: Sequence[int] | None = None,
     include_improper: bool = True,
 ) -> list[frozenset[int]]:
-    """All normal Riesz ideals but ``{0}``, optionally twist-closed."""
+    """All normal Riesz ideals but ``{0}``, optionally twist-closed.
+
+    ``gamma``, when given, must be an automorphism, even when no ideal is
+    classified against it.
+    """
+    if gamma is not None:
+        gamma = _require_automorphism(g, gamma)
     return [
         members
         for members in enumerate_ideals(g)
@@ -874,8 +880,11 @@ def smallest_normal_riesz_ideal(
     least member has the smallest size.  It is the least member exactly
     when every other member contains it, so after it the scan classifies
     only the ideals that do not contain it, and stops at the first of
-    those in the family.
+    those in the family.  ``gamma``, when given, must be an automorphism,
+    as for :func:`normal_riesz_ideals`.
     """
+    if gamma is not None:
+        gamma = _require_automorphism(g, gamma)
     candidate: frozenset[int] | None = None
     for members in enumerate_ideals(g):
         if candidate is not None and candidate <= members:
@@ -896,9 +905,9 @@ CONGRUENCE_LIMIT = 8
 def congruences(g: FiniteGpea) -> Iterator[Partition]:
     """All congruences (C1-C3) of a small algebra, via partition search.
 
-    The carrier must have at most ``CONGRUENCE_LIMIT`` elements (the
-    search walks every partition, of which there are Bell-number many);
-    the cheap C2 check runs first as a filter.
+    The carrier must have at most ``CONGRUENCE_LIMIT`` elements: the walk
+    cuts every prefix that breaks C2, but in the worst case (no sums to
+    cut on) it still visits Bell-number many partitions.
     """
     g.require_validated()
     if g.size > CONGRUENCE_LIMIT:
@@ -911,13 +920,46 @@ def congruences(g: FiniteGpea) -> Iterator[Partition]:
 def _partition_walk(g: FiniteGpea) -> tuple[Partition, ...]:
     """Every partition passing C2 and C3, in ``all_partitions`` order.
 
-    C2 is tested on the labels, so a ``Partition`` is built only for the
-    strings that pass it.
+    The restricted-growth strings are labelled depth-first, in
+    lexicographic order.  Each defined sum ``(a, b, a + b)`` is tested
+    once, when the largest of its three elements is labelled: C2 asks
+    the block map ``(label a, label b) -> label(a + b)`` to be a map, so
+    the walk keeps that map for the labelled prefix, undoes it on
+    backtrack and cuts a prefix at its first conflict, since every string
+    extending it breaks C2 too.  A ``Partition`` is built, and C3 tested,
+    only on the complete labellings that pass C2.
     """
+    n = g.size
+    closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a, b, s in g.sums:
+        closing[max(a, b, s)].append((a, b, s))
+    labels = [0] * n
+    # ``block_sum[i * n + j]`` is the label of the sums of blocks i and j,
+    # or -1 while no labelled sum has met that pair of blocks.
+    block_sum = [-1] * (n * n)
     found = []
-    for labels in _growth_strings(g.size):
-        if _block_sums(g, labels) is not None:
+
+    def extend(i: int, top: int) -> None:
+        if i == n:
             rel = Partition.from_block_of(labels)
             if _check_c3(g, rel):
                 found.append(rel)
+            return
+        for lab in range(top + 2):
+            labels[i] = lab
+            opened = []
+            for a, b, s in closing[i]:
+                key = labels[a] * n + labels[b]
+                have = block_sum[key]
+                if have < 0:
+                    block_sum[key] = labels[s]
+                    opened.append(key)
+                elif have != labels[s]:
+                    break
+            else:
+                extend(i + 1, max(top, lab))
+            for key in opened:
+                block_sum[key] = -1
+
+    extend(0, -1)
     return tuple(found)

@@ -358,6 +358,31 @@ def test_three_chain_smallest_under_both_readings():
     assert smallest_normal_riesz_ideal(c2, include_improper=False) is None
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: smallest_normal_riesz_ideal(chain(1), (0, 0), include_improper=False),
+        lambda: smallest_normal_riesz_ideal(chain(0), (3,)),
+        lambda: normal_riesz_ideals(chain(0), (3,)),
+        lambda: normal_riesz_ideals(chain(0), (0, 0)),
+    ],
+    ids=["smallest-proper-chain1", "smallest-chain0", "family-chain0", "family-long"],
+)
+def test_twist_is_checked_even_when_no_ideal_is_classified(call):
+    # No ideal of these is classified against the twist: chain(0) has only
+    # {0}, and the proper reading over chain(1) leaves only {0} too.
+    with pytest.raises(MalformedTableError, match="^twist map is not a permutation"):
+        call()
+
+
+def test_non_automorphism_twist_is_rejected_by_the_ideal_families(fig1_algebra):
+    # A permutation that is no automorphism: 1 and 3 have different sums.
+    twist = (0, 3, 2, 1, 4, 5)
+    for call in (normal_riesz_ideals, smallest_normal_riesz_ideal):
+        with pytest.raises(MalformedTableError, match="^twist map is not an automorphism$"):
+            call(fig1_algebra, twist)
+
+
 # ---------------------------------------------------------------- congruences
 
 

@@ -40,8 +40,11 @@ extensions.  ``_check_c4`` builds one of C4's two block maps, by a proof
 in its docstring that the other follows; the two halves of the C4 loop
 must agree on each of those inputs.  ``quotient_unitization`` is compared with the version that
 rebuilt a checked extension of the quotient, on every congruence of the
-budget-5 pairs it applies to.  The congruence walk is compared with
-building every partition and then filtering, and the bitmask induced
+budget-5 pairs it applies to.  The congruence walk, which cuts each
+prefix of a labelling at its first C2 conflict, is compared with
+building every partition and then filtering: on every algebra of size
+at most 7, on ``boolean(3)`` and ``chain(7)``, and on every unit
+extension of at most 8 elements.  The bitmask induced
 relation with the peel-set matrix on every ideal of the budget-5
 instances and their extensions: the same partition, or the same
 exception type and text.
@@ -70,6 +73,7 @@ from gpea import (
     QuotientUnitizationVerdict,
     UnitizationAlgebra,
     all_partitions,
+    boolean,
     build_kite,
     builtin,
     chain,
@@ -1010,6 +1014,27 @@ def test_block_maps_on_the_unit_extensions_of_algebras_up_to_size_three():
                 verdict = quotient_unitization(ua, rel)
                 assert verdict.gamma_tilde == loop_block_twist(g, rel, ua.gamma)
     assert len(pairs) > 3
+
+
+
+def test_walk_matches_the_filter_on_every_size_seven_algebra():
+    assert len(algebras_of_size(7)) == 171
+    for g in algebras_of_size(7):
+        assert _partition_walk(g) == filter_partition_walk(g), g.table_key()
+
+
+def test_walk_matches_the_filter_on_eight_element_algebras():
+    """``boolean(3)``, ``chain(7)`` and every unit extension of at most
+    eight elements, at the congruence search's size limit."""
+    extensions = [
+        gamma_unitize(g, gamma).algebra
+        for size in range(1, 5)
+        for g in algebras_of_size(size)
+        for gamma in enumerate_unitizing(g)
+    ]
+    assert (len(extensions), max(u.size for u in extensions)) == (15, 8)
+    for g in [boolean(3), chain(7), *extensions]:
+        assert _partition_walk(g) == filter_partition_walk(g), g.table_key()
 
 
 BUDGET_FIVE_PAIRS = _unitized_pairs(standard_instances(5))

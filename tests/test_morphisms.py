@@ -1,11 +1,24 @@
-"""The planned isomorphism search against the search it replaced.
+"""The isomorphism search and test against the code they replaced.
 
-``pairwise_find_morphisms`` is the previous ``core.find_morphisms``,
-kept verbatim: it branches on every nonzero element in decreasing
-connectivity order and prunes only by pairwise consistency.  The planned
-search (branch only on elements that are not sums of placed ones, take
-each sum's image from the table, try only images with equal invariants)
-must return the same sorted list on:
+Three oracles are kept verbatim:
+
+* ``grid_is_isomorphism``, the n² test of every pair that
+  ``core.is_isomorphism`` ran before it made one test per defined sum;
+* ``fits_find_morphisms``, the planned search that checked each
+  placement against every placed element (``fits``) and each full map
+  with the n² test, before each defined sum was tested once, at the step
+  that places its last element;
+* ``pairwise_find_morphisms``, the search before the plan: it branches
+  on every nonzero element in decreasing connectivity order and prunes
+  only by pairwise consistency.
+
+``is_isomorphism`` must agree with the n² test on every map, permutation
+or not, between the labelled tables of sizes 1 to 4 (pairs with unequal
+sum counts among them), and on a deterministic ``hypothesis`` stream of
+raw tables, edited relabellings and maps.
+
+``find_morphisms`` must return the same sorted list as the pairwise
+search on:
 
 * every ordered same-size pair of the 64 class representatives of sizes
   1 to 6;
@@ -13,23 +26,32 @@ must return the same sorted list on:
 * every unit extension of ``standard_instances(5)``, with itself and
   with a relabelling;
 * the benchmark's catalog algebras of 6 to 32 elements;
+* the flat algebra of size 7 (no nonzero sum defined; 720 maps);
+* every pair with equal profiles but no isomorphism among the
+  representatives of sizes 1 to 7 and the unit extensions of those up to
+  size 4, where the search cannot stop at the profile;
 * a deterministic ``hypothesis`` stream of (algebra, relabelling).
 
-The old search takes seconds on the 54-element unit extension of
-``chain(2)^3``, so its counts there are pinned without the oracle.
+The pairwise search takes seconds on a 54-element table, so the 18
+kites of ``verify``'s grid (4 to 54 elements) are checked against
+``fits_find_morphisms``, with themselves, with a relabelling and with
+every kite of their size, and against the pairwise search up to 18
+elements.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from gpea import (
     FiniteGpea,
     boolean,
+    build_kite,
     builtin,
     chain,
     enumerate_gpeas,
@@ -40,6 +62,101 @@ from gpea import (
     product,
     standard_instances,
 )
+from test_kernels import verify_grid_kites
+from test_table import raw_tables
+
+
+def grid_is_isomorphism(p: FiniteGpea, q: FiniteGpea, phi) -> bool:
+    """Whether ``phi`` is a bijection transferring definedness and sums exactly.
+
+    ``phi[a]`` is the image of ``a``; a map that is not a permutation of
+    the carrier, or algebras of different sizes, give ``False``.
+    """
+    n = p.size
+    if q.size != n or sorted(phi) != list(range(n)):
+        return False
+    p_table = p.table
+    q_table = q.table
+    for a in range(n):
+        for b in range(n):
+            s = p_table[a * n + b]
+            if q_table[phi[a] * n + phi[b]] != (n if s == n else phi[s]):
+                return False
+    return True
+
+
+def fits_find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
+    """All structure isomorphisms ``p -> q`` as image tuples, sorted.
+
+    An isomorphism is a bijection transferring existence both ways and
+    preserving sums; ``find_morphisms(p, p)`` gives the automorphisms.
+    Returns the empty list when none exist.  An isomorphism preserves the
+    induced order, so between unital algebras it maps unit to unit.
+
+    The search follows ``p.morphism_plan``: a branch element tries each
+    unused image with its invariants, and an element that is a sum of
+    elements placed before it takes the sum of their images in ``q``.
+    Every placement must agree with the placed elements pairwise, and
+    every full map is checked with :func:`is_isomorphism`.
+    """
+    p.require_validated()
+    q.require_validated()
+    plan = p.morphism_plan
+    if plan.profile != q.morphism_plan.profile:  # so the sizes are equal too
+        return []
+    n = p.size
+    p_table = p.table
+    q_table = q.table
+    invariants = plan.invariants
+    q_invariants = q.morphism_plan.invariants
+    steps = plan.steps
+    placed = [0] + [x for x, _ in steps]
+    results: list[tuple[int, ...]] = []
+    # ``phi`` and ``used`` carry the sentinel ``n`` at index ``n``: an
+    # undefined sum maps to an undefined sum and is never an image.
+    phi: list[int | None] = [0] + [None] * (n - 1) + [n]
+    used = [True] + [False] * (n - 1) + [True]
+
+    def fits(x: int, w: int, k: int) -> bool:
+        """Whether ``x -> w`` agrees with each placed ``y`` on both sums.
+
+        The image of ``x + y`` (and of ``y + x``) must be the sum of the
+        images, or, for a sum not placed yet, some defined element.
+        """
+        for y in placed[: k + 2]:
+            fy = phi[y]
+            m, t = phi[p_table[x * n + y]], q_table[w * n + fy]
+            if m != t and (m is not None or t == n):
+                return False
+            m, t = phi[p_table[y * n + x]], q_table[fy * n + w]
+            if m != t and (m is not None or t == n):
+                return False
+        return True
+
+    def extend(k: int) -> None:
+        if k == len(steps):
+            img = tuple(phi[:n])  # fully assigned
+            if grid_is_isomorphism(p, q, img):
+                results.append(img)
+            return
+        x, summands = steps[k]
+        if summands is None:
+            images = range(n)
+        else:
+            a, b = summands
+            images = (q_table[phi[a] * n + phi[b]],)
+        for w in images:
+            if used[w] or q_invariants[w] != invariants[x]:
+                continue
+            phi[x] = w
+            used[w] = True
+            if fits(x, w, k):
+                extend(k + 1)
+            phi[x] = None
+            used[w] = False
+
+    extend(0)
+    return sorted(results)
 
 
 def pairwise_find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
@@ -86,7 +203,7 @@ def pairwise_find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...
     def extend(k: int) -> None:
         if k == len(todo):
             img = tuple(phi)  # fully assigned
-            if is_isomorphism(p, q, img):
+            if grid_is_isomorphism(p, q, img):
                 results.append(img)
             return
         x = todo[k]
@@ -222,3 +339,177 @@ def test_random_relabellings(data):
     h = g.relabel([0, *rest])
     assert assert_same(g, h)
     assert assert_same(h, g)
+
+
+# ------------------------------------------------------- the test per sum
+
+
+def labelled_tables(size: int) -> list[FiniteGpea]:
+    """Every distinct labelling of the classes of ``size`` elements."""
+    out: dict[tuple[int, ...], FiniteGpea] = {}
+    for g in enumerate_gpeas(size):
+        for rest in itertools.permutations(range(1, size)):
+            h = g.relabel((0, *rest))
+            out.setdefault(h.table_key(), h)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_is_isomorphism_matches_the_grid_on_every_map_of_labelled_tables(size):
+    tables = labelled_tables(size)
+    smaller = labelled_tables(size - 1) if size > 1 else []
+    counted = 0  # permutations taking every sum to a sum, counts unequal
+    for p in tables:
+        for q in smaller:
+            assert not is_isomorphism(p, q, tuple(range(size)))
+            assert not is_isomorphism(q, p, tuple(range(size - 1)))
+        for q in tables:
+            for phi in itertools.product(range(size), repeat=size):
+                assert is_isomorphism(p, q, phi) == grid_is_isomorphism(p, q, phi), (
+                    p.table_key(), q.table_key(), phi
+                )
+                counted += (
+                    len(set(phi)) == size
+                    and len(p.sums) != len(q.sums)
+                    and all(q.value(phi[a], phi[b]) == phi[s] for a, b, s in p.sums)
+                )
+    # From size 3 on, the flat table's sums go into a chain's under the
+    # identity: only the count of defined sums tells them apart.
+    assert (counted > 0) == (size >= 3)
+
+
+@st.composite
+def raw_pairs(draw):
+    """A raw table, an edited relabelling of it, and a map between them:
+    the relabelling permutation or any map of the carrier into itself."""
+    n, op = draw(raw_tables())
+    perm = draw(st.permutations(range(n)))
+    relabelled = {(perm[a], perm[b]): perm[s] for (a, b), s in op.items()}
+    element = st.integers(min_value=0, max_value=n - 1)
+    for cell, value in draw(
+        st.lists(st.tuples(st.tuples(element, element), st.none() | element), max_size=2)
+    ):
+        if value is None:
+            relabelled.pop(cell, None)
+        else:
+            relabelled[cell] = value
+    phi = draw(st.just(tuple(perm)) | st.lists(element, min_size=n, max_size=n).map(tuple))
+    return FiniteGpea(n, op), FiniteGpea(n, relabelled), phi
+
+
+@settings(max_examples=300)
+@given(raw_pairs())
+def test_is_isomorphism_matches_the_grid_on_random_raw_tables(drawn):
+    p, q, phi = drawn
+    assert is_isomorphism(p, q, phi) == grid_is_isomorphism(p, q, phi)
+    assert is_isomorphism(q, p, phi) == grid_is_isomorphism(q, p, phi)
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_random_raw_pairs_include_both_verdicts(verdict):
+    # The comparison above is only meaningful if both kinds are drawn.
+    find(
+        raw_pairs(),
+        lambda drawn: grid_is_isomorphism(*drawn) == verdict,
+        settings=settings(database=None),
+    )
+
+
+def flat_algebra(size: int) -> FiniteGpea:
+    """No nonzero sum defined: every permutation fixing 0 is an automorphism."""
+    op = {(0, x): x for x in range(size)}
+    op.update({(x, 0): x for x in range(size)})
+    return FiniteGpea(size, op).validate()
+
+
+def test_flat_algebra_of_size_seven():
+    g = flat_algebra(7)
+    assert len(assert_same(g, g)) == math.factorial(6)
+    assert len(assert_same(g, relabelling(g, random.Random(7)))) == math.factorial(6)
+
+
+def same_profile_pairs() -> list[tuple[FiniteGpea, FiniteGpea]]:
+    """Ordered pairs with equal profiles and no isomorphism."""
+    pool = [g for n in range(1, 8) for g in enumerate_gpeas(n)]
+    pool += [
+        gamma_unitize(g, gamma).algebra
+        for g in pool
+        if g.size <= 4
+        for gamma in enumerate_unitizing(g)
+    ]
+    by_profile: dict[tuple, list[FiniteGpea]] = {}
+    for g in pool:
+        by_profile.setdefault(g.morphism_plan.profile, []).append(g)
+    return [
+        (p, q)
+        for group in by_profile.values()
+        for p in group
+        for q in group
+        if p is not q and not pairwise_find_morphisms(p, q)
+    ]
+
+
+def test_pairs_with_equal_profiles_and_no_isomorphism():
+    pairs = same_profile_pairs()
+    assert len(pairs) == 778
+    assert {p.size for p, _ in pairs} == {4, 5, 6, 7, 8}
+    for p, q in pairs:
+        assert find_morphisms(p, q) == [], (p.table_key(), q.table_key())
+
+
+KITES = [build_kite(spec).algebra for _, spec in verify_grid_kites()]
+
+
+@pytest.mark.parametrize("index", range(len(KITES)))
+def test_grid_kites(index):
+    assert len(KITES) == 18
+    g = KITES[index]
+    h = relabelling(g, random.Random(index))
+    for p, q in [(g, g), (g, h), (h, g)]:
+        found = find_morphisms(p, q)
+        assert found and found == fits_find_morphisms(p, q)
+        if g.size <= 18:
+            assert found == pairwise_find_morphisms(p, q)
+    for other in KITES:
+        if other.size == g.size:
+            assert find_morphisms(g, other) == fits_find_morphisms(g, other)
+
+
+def test_plan_checks_list_each_sum_once_at_its_last_step():
+    for g in [*REPRESENTATIVES, *KITES, builtin(CATALOG[8])]:
+        plan = g.morphism_plan
+        step_of = {0: -1, **{x: k for k, (x, _) in enumerate(plan.steps)}}
+        listed = [(a, b, s) for checks in plan.checks for a, b, s in checks]
+        forced = [(*summands, x) for x, summands in plan.steps if summands is not None]
+        with_zero = [(a, b, s) for a, b, s in g.sums if not (a and b)]
+        assert sorted([*listed, *forced, *with_zero]) == sorted(g.sums)
+        for k, checks in enumerate(plan.checks):
+            for a, b, s in checks:
+                assert max(step_of[a], step_of[b], step_of[s]) == k
+
+
+class RecordingTable(tuple):
+    """A table that records the index of every cell read."""
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return tuple.__getitem__(self, index)
+
+
+@pytest.mark.parametrize(
+    "expr", ["chain(7)", "product(chain(1),chain(2))", "product(chain(2),chain(3))"]
+)
+def test_search_reads_each_defined_sum_once(expr):
+    # Each branch element has one image with its invariants, so the search
+    # walks one path and reads each cell of a defined sum of nonzero
+    # elements once: the sum a step is forced by, or the test of a sum at
+    # its last step.  Search results alone do not show a skipped test: a
+    # search without the tests at forced steps returns the same maps on
+    # every other input in this file.
+    p, q = builtin(expr), builtin(expr)
+    q.morphism_plan
+    q.table = RecordingTable(q.table)
+    q.table.reads = []
+    assert find_morphisms(p, q) == [tuple(p.elements)]
+    n = p.size
+    assert sorted(q.table.reads) == sorted(a * n + b for a, b, _ in p.sums if a and b)
