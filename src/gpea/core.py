@@ -192,6 +192,19 @@ class FiniteGpea:
         """The invariants and element order :func:`find_morphisms` uses."""
         return _morphism_plan(self)
 
+    @cached_property
+    def _invariants(self) -> tuple[tuple, tuple]:
+        """The plan's ``invariants`` and ``profile`` alone: all that a
+        search target needs, and a source that fails the profile test."""
+        n = self.size
+        rows, cols, multiplicity = [0] * n, [0] * n, [0] * n
+        for a, b, s in self.sums:
+            rows[a] += 1
+            cols[b] += 1
+            multiplicity[s] += 1
+        invariants = tuple(zip(rows, cols, multiplicity))
+        return invariants, tuple(sorted(invariants))
+
     def relabel(self, perm: Sequence[int]) -> "FiniteGpea":
         """The same algebra with element ``i`` renamed to ``perm[i]``.
 
@@ -682,18 +695,13 @@ class MorphismPlan:
 def _morphism_plan(g: FiniteGpea) -> MorphismPlan:
     n = g.size
     table = g.table
-    rows, cols, multiplicity = [0] * n, [0] * n, [0] * n
-    for a, b, s in g.sums:
-        rows[a] += 1
-        cols[b] += 1
-        multiplicity[s] += 1
-    invariants = tuple(zip(rows, cols, multiplicity))
+    invariants, profile = g._invariants
     steps: list[tuple[int, tuple[int, int] | None]] = []
     placed = [0]
     is_placed = [True] + [False] * (n - 1)
     # Branch elements in decreasing connectivity order make the pruning
     # bite early; after each, place every sum of two placed elements.
-    for x in sorted(range(1, n), key=lambda x: -rows[x] - cols[x]):
+    for x in sorted(range(1, n), key=lambda x: -sum(invariants[x][:2])):
         if is_placed[x]:
             continue
         is_placed[x] = True
@@ -719,9 +727,7 @@ def _morphism_plan(g: FiniteGpea) -> MorphismPlan:
             k = max(step_of[a], step_of[b], step_of[s])
             if steps[k][1] != (a, b):
                 checks[k].append((a, b, s))
-    return MorphismPlan(
-        invariants, tuple(sorted(invariants)), tuple(steps), tuple(map(tuple, checks))
-    )
+    return MorphismPlan(invariants, profile, tuple(steps), tuple(map(tuple, checks)))
 
 
 def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
@@ -732,7 +738,9 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
     Returns the empty list when none exist.  An isomorphism preserves the
     induced order, so between unital algebras it maps unit to unit.
 
-    The search follows ``p.morphism_plan``: a branch element tries each
+    The search compares the profiles first, so ``q`` builds only its
+    invariants and ``p`` its plan only when they agree.  It then follows
+    ``p.morphism_plan``: a branch element tries each
     unused image with its invariants, and an element that is a sum of
     elements placed before it takes the sum of their images in ``q``.
     Each step then tests the sums of ``p`` it closes (``checks``):
@@ -748,13 +756,13 @@ def find_morphisms(p: FiniteGpea, q: FiniteGpea) -> list[tuple[int, ...]]:
     """
     p.require_validated()
     q.require_validated()
-    plan = p.morphism_plan
-    if plan.profile != q.morphism_plan.profile:  # so the sizes are equal too
+    invariants, profile = p._invariants
+    q_invariants, q_profile = q._invariants
+    if profile != q_profile:  # so the sizes are equal too
         return []
     n = p.size
     q_table = q.table
-    invariants = plan.invariants
-    q_invariants = q.morphism_plan.invariants
+    plan = p.morphism_plan
     steps = plan.steps
     checks = plan.checks
     results: list[tuple[int, ...]] = []

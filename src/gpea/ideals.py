@@ -561,8 +561,14 @@ def gcr_condition(
 
     Form 1: for all related ``a, b`` there are members ``i, j`` with
     ``i + a == j + b``.  Form 2: members on the right, ``a + k == b + l``.
+    A partition of another size, or another form, is refused with
+    :class:`MalformedTableError`.
     """
     g.require_validated()
+    if rel.size != g.size:
+        raise MalformedTableError("partition size does not match the carrier")
+    if form not in (1, 2):
+        raise MalformedTableError(f"form must be 1 or 2, not {form!r}")
     mask = _subset_mask(g, ideal_members)
     n = g.size
     table = g.table

@@ -35,18 +35,26 @@ reindexing: ``(a_i)⁻ = (η a_{rho(i)})``, ``(a_i)~ = (η a_{lam(i)})``,
 
 Every entry point keeps what it shares in the base's ``verdicts`` store
 (see :attr:`FiniteGpea.verdicts`), so each piece of work is done once per
-base: the power per index size (key ``("power", k)``); per twist
-(``spec.twist_indices``) the reindexing permutation and its unitizing
-verdict (``"twist"``), the orbits with their support check
-(``"orbits"``), the unit extension (``"extension"``), the twist's first
-kite (``"first kite"``) and that kite's RDP₁ verdict with its least
-nontrivial normal Riesz ideal under the improper-included and the
-proper-only readings, each ``None`` when there is none
-(``"refinement"``); per spec (``lam``, ``rho``) the kite (``"kite"``) and
-its isomorphism report (``"iso"``).  Calls over one base share that work
-and return the same frozen objects; the RDP₁ verdict and least ideals of
-a twist's first kite reach its other kites through two such
-isomorphisms, both checked.
+base.  The store holds seven kinds of entry: the power per index size
+(key ``("power", k)``); per twist (``spec.twist_indices``) the
+reindexing permutation (``"twist"``), the unit extension
+(``"extension"``), the twist's first kite (``"first kite"``) and that
+kite's RDP₁ verdict with its least nontrivial normal Riesz ideal under
+the improper-included and the proper-only readings, each ``None`` when
+there is none (``"refinement"``); per spec (``lam``, ``rho``) the kite
+(``"kite"``) and its isomorphism report (``"iso"``).  Calls over one
+base share that work and return the same frozen objects; the RDP₁
+verdict and least ideals of a twist's first kite reach its other kites
+through two such isomorphisms, both checked.
+
+Two theorems about kites are checked in ``verify``, where they are
+counted, and not here: that the reindexing permutation is unitizing
+exactly when the transfer condition holds, and that the supports of
+distinct twist orbits are twist-closed normal ideals meeting only in
+zero, with a least ideal forcing a connected index set.  A built kite
+still passes the axioms and its canonical map from the unit extension
+is still checked, because carrying least ideals between kites relies
+on that map.
 """
 
 from __future__ import annotations
@@ -64,15 +72,9 @@ from .core import (
     element_budget,
     is_isomorphism,
 )
-from .ideals import _stored, classify_subset, smallest_normal_riesz_ideal
+from .ideals import _stored, smallest_normal_riesz_ideal
 from .rdp import rdp_profile
-from .unitization import (
-    UnitizationAlgebra,
-    _inverse,
-    _mirror_pasting,
-    gamma_unitize,
-    is_unitizing,
-)
+from .unitization import UnitizationAlgebra, _inverse, _mirror_pasting, gamma_unitize
 
 __all__ = [
     "KiteSpec",
@@ -200,39 +202,29 @@ def check_kc(spec: KiteSpec) -> KcVerdict:
     The quantifier over tuples touches only the coordinate values at the
     three positions an index names, so the check runs over those values
     directly: weak commutativity of the base where the bijections agree,
-    totality where they differ (see the module docstring).  A total base
-    is weakly commutative, so both verdicts are then true.
+    totality where they differ (see the module docstring).  Whether
+    ``rho(i)`` and ``lam(i)`` agree does not depend on which condition
+    asks, so both verdicts are this one test, computed once.
     """
     flags = spec.base.flags
-    verdicts = []
-    for first, second in ((spec.rho, spec.lam), (spec.lam, spec.rho)):
-        ok = all(
-            flags.weakly_commutative if first[i] == second[i] else flags.total
-            for i in range(spec.index_size)
-        )
-        verdicts.append(ok)
-    return KcVerdict(kci=verdicts[0], kcii=verdicts[1])
+    ok = all(
+        flags.weakly_commutative if spec.rho[i] == spec.lam[i] else flags.total
+        for i in range(spec.index_size)
+    )
+    return KcVerdict(kci=ok, kcii=ok)
 
 
 def kite_gamma(spec: KiteSpec) -> tuple[int, ...]:
     """The tuple-reindexing permutation of the power induced by the twist.
 
-    Also cross-checks the characterization: the permutation is a
-    unitizing automorphism of the power exactly when the first transfer
-    condition holds.
+    It is a unitizing automorphism of the power exactly when the first
+    transfer condition holds; ``verify`` counts that characterization
+    (``kite_transfer_characterization``).
     """
-
-    def twist() -> tuple[tuple[int, ...], bool]:
-        power = _power(spec)
-        gamma = power.reindexing_permutation(spec.twist_indices)
-        return gamma, is_unitizing(power.algebra, gamma)
-
-    gamma, unitizing = _stored(spec.base, ("twist", spec.twist_indices), twist)
-    if unitizing != check_kc(spec).kci:
-        raise InvariantViolation(
-            "twist permutation is unitizing exactly when the transfer condition holds"
-        )
-    return gamma
+    sigma = spec.twist_indices
+    return _stored(
+        spec.base, ("twist", sigma), lambda: _power(spec).reindexing_permutation(sigma)
+    )
 
 
 @dataclass(frozen=True)
@@ -296,14 +288,15 @@ class KiteIsoReport:
 
     ``phi`` fixes every tuple of the power and sends the mirror of ``a``
     to the mirror of ``a`` reindexed by ``lam``.  Construction verifies
-    that ``phi`` transfers sums both ways and that no other
-    sum-preserving unit-preserving map fixes the power pointwise.  The
-    supplement maps on the kite follow the reindexing formulas, with the
-    double left supplement equal to the twist, by the proof in
-    :func:`unitization._mirror_pasting`.  ``searched_exhaustively``
-    tells whether uniqueness was confirmed by enumerating candidate maps
-    (small carriers) or by the forcing argument ("the partner of ``a``
-    summing to the unit is unique").
+    that ``phi`` transfers sums both ways.  No other sum-preserving
+    unit-preserving map fixes the power pointwise, by the forcing
+    argument in :func:`_iso_report` ("the partner of a tuple summing to
+    the unit is unique").  The supplement maps on the kite follow the
+    reindexing formulas, with the double left supplement equal to the
+    twist, by the proof in :func:`unitization._mirror_pasting`.
+    ``searched_exhaustively`` tells whether uniqueness was also confirmed
+    by enumerating the candidate maps, which is done on carriers of at
+    most 64 elements.
     """
 
     extension: UnitizationAlgebra
@@ -351,6 +344,16 @@ def kite_iso(spec: KiteSpec) -> KiteIsoReport:
 
 
 def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoReport:
+    """Check the canonical map; on small carriers, search the candidates.
+
+    Past the isomorphism check, ``phi`` is the only candidate, by proof.
+    The kite is validated, so by cancellation each tuple ``t`` has at
+    most one ``y`` with ``t + y = m``.  In the extension ``t + η(t) =
+    η(0)`` (see :func:`unitization._mirror_pasting`), and ``phi`` fixes
+    ``t`` and sends ``η(0)`` to ``m``, so ``phi(η t)`` is that ``y``.  A
+    map that fixes the power and keeps sums and the unit sends ``η t`` to
+    such a ``y`` too, so it is ``phi``.
+    """
     m = kite.m
     lam = kite.power.reindexing_permutation(kite.spec.lam)
     phi = tuple(range(m)) + tuple(x + m for x in lam)
@@ -368,15 +371,6 @@ def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoRepo
             raise InvariantViolation(
                 "identity-fixing sum-preserving map onto the kite is not unique"
             )
-    else:
-        size, table = kite.algebra.size, kite.algebra.table
-        for t in range(m):
-            partners = [y for y in range(size) if table[t * size + y] == m]
-            if partners != [phi[t + m]]:
-                raise InvariantViolation(
-                    "unit partner in the kite is not uniquely the canonical image"
-                )
-
     return KiteIsoReport(
         extension=extension, kite=kite, phi=phi, searched_exhaustively=small
     )
@@ -384,24 +378,24 @@ def _iso_report(kite: KiteAlgebra, extension: UnitizationAlgebra) -> KiteIsoRepo
 
 @dataclass(frozen=True)
 class ConnectivityReport:
-    """Orbit structure of the index set under the twist, with consequences.
+    """Orbit structure of the index set under the twist, with the kite's ideals.
 
-    ``components`` are the orbits of ``i -> rho(lam⁻¹(i))``; the index
-    set is connected when there is exactly one.  For every pair of
-    distinct components the tuples supported on each form twist-closed
-    normal ideals of the power that meet only in zero (verified during
-    construction).  When the kite exists within budget: ``kite_rdp1``
-    reports its refinement property, ``kite_smallest`` /
+    ``components`` are the orbits of ``i -> rho(lam⁻¹(i))``, in order of
+    their least index; the index set is connected when there is exactly
+    one.  ``pairs_verified`` counts the pairs of distinct components; for
+    each, the tuples supported on either one form twist-closed normal
+    ideals of the power that meet only in zero, which ``verify`` checks
+    (``kite_component_ideals``).  When the kite exists within budget:
+    ``kite_rdp1`` reports its refinement property, ``kite_smallest`` /
     ``kite_smallest_proper`` the smallest nontrivial normal Riesz ideal
     of the kite under the improper-included and proper-only readings,
-    and ``implication_checked`` whether the consequence "a smallest
-    ideal forces a connected index set" was armed (a base of more than
-    one element that is upward directed, the transfer condition, the
-    refinement property) — in which case a violation would have raised.
-    Over the one-element base every index set gives the same
-    two-element kite, whose whole carrier is its smallest ideal, so that
-    kite tells nothing about connectivity and the consequence is not
-    armed there.
+    and ``implication_checked`` whether the hypotheses of "a smallest
+    ideal forces a connected index set" armed (a base of more than one
+    element that is upward directed, the transfer condition, the
+    refinement property); ``verify`` checks the consequence then.  Over
+    the one-element base every index set gives the same two-element
+    kite, whose whole carrier is its smallest ideal, so that kite tells
+    nothing about connectivity and the hypotheses do not arm there.
     """
 
     components: tuple[frozenset[int], ...]
@@ -414,7 +408,7 @@ class ConnectivityReport:
 
 
 def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
-    """Partition the index set into twist orbits and verify the consequences.
+    """Partition the index set into twist orbits and report the kite's ideals.
 
     The RDP₁ verdict and the two least nontrivial normal Riesz ideals
     (improper-included and proper-only, see
@@ -428,15 +422,24 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     ideals exactly onto the later kite's, so their least members too.  So
     the first call of a twist builds the power and, when the transfer
     condition holds within budget, the kite, and builds no unit
-    extension.  The consequence "a smallest ideal forces a connected
-    index set" is armed only over a base of more than one element (see
-    :class:`ConnectivityReport`).
+    extension.
     """
-    gamma = kite_gamma(spec)
     base, sigma = spec.base, spec.twist_indices
-    orbits = _stored(base, ("orbits", sigma), lambda: _orbits(spec, _power(spec), gamma))
+    _power(spec)  # refuses a power over the element budget
+    seen: set[int] = set()
+    components: list[frozenset[int]] = []
+    for start in range(spec.index_size):
+        if start in seen:
+            continue
+        orbit = {start}
+        cursor = sigma[start]
+        while cursor not in orbit:
+            orbit.add(cursor)
+            cursor = sigma[cursor]
+        seen |= orbit
+        components.append(frozenset(orbit))
     if not check_kc(spec).kci or 2 * base.size**spec.index_size > element_budget():
-        return _connectivity_report(spec, orbits, None)
+        return _connectivity_report(spec, tuple(components), None)
     first = _stored(base, ("first kite", sigma), lambda: spec)
     g = build_kite(first).algebra
     rdp1, *least = _stored(
@@ -452,90 +455,30 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
         to_spec = kite_iso(spec).phi
         carry = [to_spec[x] for x in _inverse(kite_iso(first).phi)]
         least = [None if m is None else frozenset(carry[x] for x in m) for m in least]
-    return _connectivity_report(spec, orbits, (rdp1, *least))
-
-
-def _orbits(
-    spec: KiteSpec, power: PowerGpea, gamma: tuple[int, ...]
-) -> tuple[tuple[frozenset[int], ...], int]:
-    """The twist's orbits sorted by least index, and the pairs checked.
-
-    For every pair of distinct orbits, the tuples supported on each must
-    form twist-closed normal ideals of the power meeting only in zero.
-    """
-    sigma = spec.twist_indices
-    seen: set[int] = set()
-    components: list[frozenset[int]] = []
-    for start in range(spec.index_size):
-        if start in seen:
-            continue
-        orbit = {start}
-        cursor = sigma[start]
-        while cursor not in orbit:
-            orbit.add(cursor)
-            cursor = sigma[cursor]
-        seen |= orbit
-        components.append(frozenset(orbit))
-    components.sort(key=min)
-
-    supported = []
-    for comp in components:
-        members = frozenset(
-            t
-            for t, tup in enumerate(power.tuples)
-            if all(x == 0 for i, x in enumerate(tup) if i not in comp)
-        )
-        supported.append(members)
-    pairs = 0
-    for a in range(len(components)):
-        for b in range(a + 1, len(components)):
-            for members in (supported[a], supported[b]):
-                flags = classify_subset(power.algebra, members, gamma)
-                if not (flags.ideal and flags.normal and flags.gamma_closed):
-                    raise InvariantViolation(
-                        "component support is not a twist-closed normal ideal"
-                    )
-            if supported[a] & supported[b] != {0}:
-                raise InvariantViolation(
-                    "supports of distinct components must meet only in zero"
-                )
-            pairs += 1
-    return tuple(components), pairs
+    return _connectivity_report(spec, tuple(components), (rdp1, *least))
 
 
 def _connectivity_report(
     spec: KiteSpec,
-    orbits: tuple[tuple[frozenset[int], ...], int],
+    components: tuple[frozenset[int], ...],
     refinement: tuple[bool, frozenset[int] | None, frozenset[int] | None] | None,
 ) -> ConnectivityReport:
-    """Assemble the report from the checked orbits.
+    """Assemble the report from the orbits.
 
     ``refinement`` is the kite's RDP₁ verdict and its least nontrivial
     normal Riesz ideal under the improper-included and the proper-only
     readings, or ``None`` when no kite is built.
     """
-    components, pairs = orbits
-    connected = len(components) == 1
-    kite_rdp1: bool | None = None
-    smallest: frozenset[int] | None = None
-    smallest_proper: frozenset[int] | None = None
-    implication_checked = False
-    if refinement is not None:
-        kite_rdp1, smallest, smallest_proper = refinement
-        base = spec.base
-        if base.size > 1 and base.flags.upward_directed and kite_rdp1:
-            implication_checked = True
-            if smallest is not None and not connected:
-                raise InvariantViolation(
-                    "kite has a smallest nontrivial normal Riesz ideal "
-                    "but the index set is disconnected"
-                )
+    kite_rdp1, smallest, smallest_proper = refinement or (None, None, None)
+    base = spec.base
     return ConnectivityReport(
         components=components,
-        connected=connected,
-        pairs_verified=pairs,
+        connected=len(components) == 1,
+        pairs_verified=len(components) * (len(components) - 1) // 2,
         kite_rdp1=kite_rdp1,
         kite_smallest=smallest,
         kite_smallest_proper=smallest_proper,
-        implication_checked=implication_checked,
+        implication_checked=bool(kite_rdp1)
+        and base.size > 1
+        and base.flags.upward_directed,
     )

@@ -25,14 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import (
-    FiniteGpea,
-    InvariantViolation,
-    MalformedTableError,
-    NoUnitError,
-    find_morphisms,
-    is_isomorphism,
-)
+from .core import FiniteGpea, MalformedTableError, NoUnitError, find_morphisms
 from .ideals import (
     NotEquivalenceError,
     Partition,
@@ -279,15 +272,34 @@ def recognize_unitization(u: FiniteGpea, p: Iterable[int]) -> Recognition:
     Rejections (soft, reported in ``diagnostics``): ``u`` is not unital;
     ``p`` is not a proper subset containing 0; the unit lies in ``p``;
     ``p`` is not closed under defined sums; two elements outside ``p``
-    compose.  Once those clauses hold, the extension's shape is forced.
-    Write ``P`` for the subset and ``Q`` for the rest.  ``rs(p)`` in ``P``
-    would put the unit ``p + rs(p)`` in ``P`` by sum closure, and
-    ``rs(q)`` in ``Q`` would make ``q + rs(q)`` a defined sum of two
-    outside elements.  So the bijection ``rs`` swaps ``P`` and ``Q``, and
-    ``|P| = |Q|``; by the same argument on ``ls(x) + x``, ``ls`` swaps
-    them too, so ``ll`` maps ``P`` into ``P``.  A twist that is not
-    unitizing or a map that is no isomorphism then raises
-    :class:`InvariantViolation` instead of rejecting.
+    compose.  Sums are scanned in row-major order, and a sum escaping
+    ``p`` is reported before two composing outside elements.
+
+    Once those clauses hold, the extension's shape is forced, by proof,
+    with nothing left to check.  Write ``P`` for the subset, ``Q`` for
+    the rest, and use the identities of :func:`pea_view`.
+
+    * ``rs`` and ``ls`` swap ``P`` and ``Q``.  ``rs(p)`` in ``P`` would
+      put the unit ``p + rs(p)`` in ``P`` by sum closure, and ``rs(q)``
+      in ``Q`` would make ``q + rs(q)`` a defined sum of two outside
+      elements; likewise for ``ls(x) + x``.  So ``|P| = |Q|``, and ``ll``
+      maps ``P`` onto ``P``.
+    * ``P`` is downward closed.  Take ``y`` in ``Q``, ``d`` in ``P`` and
+      ``y + d`` in ``P``.  Then ``ls(y+d)`` is in ``Q``, and
+      ``(ls(y+d) + y) + d`` is the unit, so two outside elements
+      compose; ``d + y`` in ``P`` fails the same way through ``rs``.
+    * The twist ``γ``, ``ll`` on ``P``, is unitizing.  Identity (4),
+      applied three times, takes ``a + b = c`` to ``ll a + ll b = ll c``,
+      and (5) does the same for ``rr``, so ``ll`` is an automorphism, and
+      ``ll 0 = 0`` by (1).  By the existence criterion ``γ(a) + b`` and
+      ``b + a`` are both defined exactly when ``b <= ls(a)``.
+    * The map ``η(a) -> rs(a)`` is an isomorphism.  (5) takes ``c + a =
+      b`` to ``a + rs(b) = rs(c)``, and the three-way exchange makes
+      ``rs(a) + b = rs(c)`` the same as ``γ(b) + c = a``; each ``c`` is
+      in ``P`` by downward closure.  These are the two mirror clauses,
+      and outside elements never compose.
+
+    :func:`gamma_unitize` still refuses a twist that is not unitizing.
     """
     u.require_validated()
     if not u.flags.has_unit:
@@ -300,51 +312,28 @@ def recognize_unitization(u: FiniteGpea, p: Iterable[int]) -> Recognition:
         return _reject("base must contain 0")
     if unit in members:
         return _reject("unit lies inside the base")
-    member_set = frozenset(members)
-    for a in members:
-        for b in members:
-            s = u.value(a, b)
-            if s is not None and s not in member_set:
-                return _reject(
-                    f"base not closed under sums: {a} + {b} = {s} escapes"
-                )
-    outside = [x for x in u.elements if x not in member_set]
-    for x in outside:
-        for y in outside:
-            if u.defined(x, y):
-                return _reject(f"outside elements compose: {x} + {y} is defined")
-
     pos = {old: i for i, old in enumerate(members)}
-    base_op = {
-        (pos[a], pos[b]): pos[u.value(a, b)]
-        for a in members
-        for b in members
-        if u.value(a, b) is not None
-    }
+    base_op = {}
+    escapes = composes = ""
+    for a, b, s in u.sums:
+        if a in pos and b in pos:
+            if s in pos:
+                base_op[(pos[a], pos[b])] = pos[s]
+            elif not escapes:
+                escapes = f"base not closed under sums: {a} + {b} = {s} escapes"
+        elif a not in pos and b not in pos and not composes:
+            composes = f"outside elements compose: {a} + {b} is defined"
+    if escapes or composes:
+        return _reject(escapes or composes)
+
     base = FiniteGpea(
         len(members), base_op, [u.name(old) for old in members]
     ).validate()
-
     view = u.pea
-    gamma_t = tuple(pos[view.ll(old)] for old in members)
-    if not is_unitizing(base, gamma_t):
-        raise InvariantViolation(
-            "double left supplement does not restrict to a unitizing automorphism"
-        )
-
-    rebuilt = gamma_unitize(base, gamma_t)
-    k = base.size
-    phi = [0] * (2 * k)
-    for i, old in enumerate(members):
-        phi[i] = old
-        phi[k + i] = view.right_supp[old]
-    phi_t = tuple(phi)
-    if not is_isomorphism(rebuilt.algebra, u, phi_t):
-        raise InvariantViolation(
-            "canonical map from the rebuilt extension is not an isomorphism"
-        )
+    gamma = tuple(pos[view.ll(old)] for old in members)
+    iso = tuple(members) + tuple(view.right_supp[old] for old in members)
     return Recognition(
-        gamma=gamma_t, iso=phi_t, extension=rebuilt, diagnostics="ok"
+        gamma=gamma, iso=iso, extension=gamma_unitize(base, gamma), diagnostics="ok"
     )
 
 

@@ -44,7 +44,15 @@ from .ideals import (
     riesz_congruence_roundtrip,
     sim_from_ideal,
 )
-from .kites import KiteSpec, check_kc, index_connectivity, kite_gamma, kite_iso
+from .kites import (
+    ConnectivityReport,
+    KiteSpec,
+    _power,
+    check_kc,
+    index_connectivity,
+    kite_gamma,
+    kite_iso,
+)
 from .rdp import rdp_profile, rdp_transfer
 from .unitization import (
     UnitizationAlgebra,
@@ -52,6 +60,7 @@ from .unitization import (
     congruence_suite,
     enumerate_unitizing,
     gamma_unitize,
+    is_unitizing,
     lift_congruence_biconditional,
     quotient_unitization,
     recognize_unitization,
@@ -511,12 +520,13 @@ def _verify_kite(tallies: _Tallies) -> None:
     * ``kite_transfer_characterization`` — the tuple-reindexing
       permutation induced by the pair is a unitizing automorphism of the
       power exactly when the definedness-transfer condition holds (both
-      sides computed independently here).
+      sides computed independently, and compared only here).
     * ``kite_component_ideals`` — tuples supported on distinct orbits of
       the twist form twist-closed normal ideals of the power meeting
       only in zero; when the pasting exists, a smallest nontrivial
       normal Riesz ideal forces a connected index set (checked when its
-      hypotheses arm).  On this grid the implication never arms: each of
+      hypotheses arm).  Both are checked only here, on the report of
+      ``index_connectivity``.  On this grid the implication never arms: each of
       the 18 buildable kites has the two-element normal Riesz ideal of 0
       and the mirror of the top tuple, which meets the power (itself a
       proper normal Riesz ideal) only in 0, so no kite has a smallest
@@ -525,21 +535,22 @@ def _verify_kite(tallies: _Tallies) -> None:
     On the pairs where the transfer condition holds (so the pasting is
     defined):
 
-    * ``kite_axioms`` — the pasted table passes all axioms; the mirror
-      of the zero tuple is its unit by proof.
+    * ``kite_axioms`` — the pasted table passes all axioms, checked by
+      ``build_kite``; the mirror of the zero tuple is its unit by proof.
     * ``kite_extension_isomorphism`` — the canonical map from the unit
-      extension of the power onto the pasting is an isomorphism and the
-      only sum-preserving map fixing the power pointwise.  The supplement
+      extension of the power onto the pasting is an isomorphism, checked
+      by ``kite_iso``, and the only sum-preserving map fixing the power
+      pointwise, by proof (see ``kites._iso_report``).  The supplement
       maps follow the reindexing formulas, with the double left
       supplement equal to the twist, by proof, not by a check (see
       ``unitization._mirror_pasting``).
 
     Work is shared within one (base, index size) and nothing else: each
     gets a freshly built base, in whose ``verdicts`` store the kite
-    functions keep one power; per twist one reindexing permutation,
-    unitizing verdict, orbit support check and unit extension; one kite
-    and isomorphism check per buildable spec; and per twist one RDP₁
-    verdict and normal Riesz ideal sweep, on the twist's first kite.
+    functions keep one power; per twist one reindexing permutation and
+    unit extension; one kite and isomorphism check per buildable spec;
+    and per twist one RDP₁ verdict and normal Riesz ideal sweep, on the
+    twist's first kite.
     This is exact: every later kite of the twist takes that RDP₁ verdict,
     an isomorphism invariant, and those ideals mapped through
     ``φ_spec ∘ φ_first⁻¹``, the composite of the two isomorphisms from the
@@ -556,20 +567,23 @@ def _verify_kite_power(
     tallies: _Tallies, base_name: str, base: FiniteGpea, k: int
 ) -> None:
     """Every (lam, rho) pair over one power; what they share lives in
-    ``base``'s store and dies with it."""
+    ``base``'s store and dies with it.  The unitizing verdict and the
+    component check depend on a spec only through its twist: each is
+    computed once per twist and counted for every spec."""
     perms = list(itertools.permutations(range(k)))
+    unitizing: dict[tuple[int, ...], bool] = {}
+    component_problems: dict[tuple[int, ...], str] = {}
     for lam in perms:
         for rho in perms:
             spec = KiteSpec(base, k, lam, rho)
             label = f"{base_name}:k={k}:lam={lam}:rho={rho}"
-            kci = check_kc(spec).kci
-            try:
-                kite_gamma(spec)
-                characterized = True
-            except InvariantViolation:
-                characterized = False
+            sigma, kci = spec.twist_indices, check_kc(spec).kci
+            if sigma not in unitizing:
+                unitizing[sigma] = is_unitizing(_power(spec).algebra, kite_gamma(spec))
             tallies["kite_transfer_characterization"].check(
-                f"{label}: kci={kci}", characterized
+                f"{label}: twist permutation is unitizing exactly when the "
+                "transfer condition holds",
+                unitizing[sigma] == kci,
             )
             if kci:
                 try:
@@ -583,11 +597,46 @@ def _verify_kite_power(
                     tallies["kite_axioms"].check(label, True)
                     tallies["kite_extension_isomorphism"].check(label, True)
             try:
-                index_connectivity(spec)
+                report = index_connectivity(spec)
             except AlgebraError as exc:
-                tallies["kite_component_ideals"].check(f"{label}: {exc}", False)
+                problem = str(exc)
             else:
-                tallies["kite_component_ideals"].check(label, True)
+                if sigma not in component_problems:
+                    component_problems[sigma] = _component_problem(spec, report)
+                problem = component_problems[sigma]
+            tallies["kite_component_ideals"].check(f"{label}: {problem}", not problem)
+
+
+def _component_problem(spec: KiteSpec, report: ConnectivityReport) -> str:
+    """Why ``report`` breaks ``kite_component_ideals``, or ``""``.
+
+    The tuples supported on each of two distinct components must form
+    twist-closed normal ideals of the power meeting only in zero, and
+    once the hypotheses arm, a least ideal of the kite forces a
+    connected index set.
+    """
+    power, gamma = _power(spec), kite_gamma(spec)
+    supported = [
+        frozenset(
+            t
+            for t, tup in enumerate(power.tuples)
+            if all(x == 0 for i, x in enumerate(tup) if i not in comp)
+        )
+        for comp in report.components
+    ]
+    for first, second in itertools.combinations(supported, 2):
+        for members in (first, second):
+            flags = classify_subset(power.algebra, members, gamma)
+            if not (flags.ideal and flags.normal and flags.gamma_closed):
+                return "component support is not a twist-closed normal ideal"
+        if first & second != {0}:
+            return "supports of distinct components must meet only in zero"
+    if report.implication_checked and report.kite_smallest and not report.connected:
+        return (
+            "kite has a smallest nontrivial normal Riesz ideal "
+            "but the index set is disconnected"
+        )
+    return ""
 
 
 # ------------------------------------------------------------------- rdp scope

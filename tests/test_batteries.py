@@ -23,6 +23,11 @@ extension bases and every kite of up to 128 elements in
 ``test_kernels.SPECS``.  ``kites._iso_report`` still checks identities
 that hold for every valid input.  The last tests feed that check and
 the oracle corrupted input and pin the set of clause messages reached.
+
+Past 64 elements ``kites._iso_report`` no longer tests that each tuple's
+partner summing to the unit is uniquely the canonical image; the proof
+is in its docstring.  ``unit_partners_are_canonical`` below is the
+deleted loop, run on a 128-element kite.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from gpea import (
     enumerate_unitizing,
     fig1,
     gamma_unitize,
+    kite_iso,
     power_gpea,
 )
 from gpea.catalog import enumerate_gpeas
@@ -319,21 +325,42 @@ def test_kite_isomorphism_check_fires_on_a_foreign_extension() -> None:
 
 @pytest.mark.parametrize(
     ("base", "message"),
-    [
-        (chain(1), "identity-fixing sum-preserving map onto the kite is not unique"),
-        (chain(5), "unit partner in the kite is not uniquely the canonical image"),
-    ],
+    [(chain(1), "identity-fixing sum-preserving map onto the kite is not unique")],
 )
 def test_kite_uniqueness_checks_fire_past_a_waved_through_isomorphism(
     monkeypatch: pytest.MonkeyPatch, base: FiniteGpea, message: str
 ) -> None:
-    """Both uniqueness checks sit behind the isomorphism check, which a
+    """The uniqueness check sits behind the isomorphism check, which a
     wrong canonical map never passes, so it is waved through here.  The
     kite is relabelled as the one with ``lam = rho = (1, 0)``, whose
-    canonical map differs; small kites (at most 64 elements) search the
-    candidate maps and larger ones test the unit partners."""
+    canonical map differs; kites of at most 64 elements search the
+    candidate maps, and larger ones need no check (see
+    ``test_unit_partners_are_canonical_on_a_large_kite``)."""
     kite = build_kite(KiteSpec(base, 2, (0, 1), (0, 1)))
     extension = gamma_unitize(kite.power.algebra, kite.gamma)
     relabelled = dataclasses.replace(kite, spec=KiteSpec(base, 2, (1, 0), (1, 0)))
     monkeypatch.setattr(gpea.kites, "is_isomorphism", lambda *args: True)
     assert reached(gpea.kites._iso_report, [(relabelled, extension)]) == {message}
+
+
+def unit_partners_are_canonical(kite: FiniteGpea, m: int, phi: Sequence[int]) -> bool:
+    """Each tuple ``t`` has exactly one ``y`` with ``t + y`` the unit
+    ``m``, and it is the canonical image of ``t``'s mirror."""
+    size, table = kite.size, kite.table
+    return all(
+        [y for y in range(size) if table[t * size + y] == m] == [phi[t + m]]
+        for t in range(m)
+    )
+
+
+def test_unit_partners_are_canonical_on_a_large_kite() -> None:
+    """The proof in ``kites._iso_report`` holds on the 128-element kite of
+    the two-element chain over six indices, with a twisted reindexing; a
+    map that is not the canonical one fails the oracle."""
+    cycle = (1, 2, 3, 4, 5, 0)
+    report = kite_iso(KiteSpec(chain(1), 6, cycle, cycle))
+    kite, m, phi = report.kite.algebra, report.kite.m, report.phi
+    assert kite.size == 128 and not report.searched_exhaustively
+    assert phi[m:] != tuple(range(m, 2 * m))
+    assert unit_partners_are_canonical(kite, m, phi)
+    assert not unit_partners_are_canonical(kite, m, tuple(range(2 * m)))

@@ -261,6 +261,15 @@ def test_gcr_forms_agree_on_identity(fig1_algebra):
     assert gcr_condition(fig1_algebra, rel, {0}, form=2)
 
 
+def test_gcr_refuses_a_partition_of_another_size_and_an_unknown_form():
+    message = "^partition size does not match the carrier$"
+    with pytest.raises(MalformedTableError, match=message):
+        gcr_condition(chain(2), Partition.single_block(2), [0, 1])
+    for form in (0, 3):
+        with pytest.raises(MalformedTableError, match=f"^form must be 1 or 2, not {form}$"):
+            gcr_condition(chain(2), Partition.single_block(3), [0], form=form)
+
+
 # ------------------------------------------------------------------ quotients
 
 

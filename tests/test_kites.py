@@ -8,6 +8,7 @@ import math
 import pytest
 
 import gpea.kites
+import gpea.verify
 from gpea import (
     BudgetExceededError,
     ConnectivityReport,
@@ -402,7 +403,9 @@ def test_connectivity_smallest_ideals_match_direct_computation(height, max_index
 def reference_index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     """``index_connectivity`` as it was before verify shared its work:
     every spec builds its own power and kite and computes the refinement
-    property and the normal Riesz ideals on that kite."""
+    property and the normal Riesz ideals on that kite.  It also raises on
+    the characterization, support and implication checks, which
+    ``verify`` now makes and ``index_connectivity`` does not."""
     sigma = spec.twist_indices
     seen: set[int] = set()
     components: list[frozenset[int]] = []
@@ -616,8 +619,11 @@ def test_public_connectivity_matches_the_per_spec_reference() -> None:
         assert index_connectivity(spec) == reference_index_connectivity(spec), spec
 
 
-def count_kite_work(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
-    """Count, from now on, the calls the kites module makes to its workers."""
+def count_kite_work(
+    monkeypatch: pytest.MonkeyPatch, module=gpea.kites
+) -> dict[str, int]:
+    """Count, from now on, the calls ``module`` makes to the kite workers;
+    a worker the module does not bind counts 0."""
     counts = dict.fromkeys(
         (
             "power_gpea",
@@ -639,7 +645,8 @@ def count_kite_work(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
         return wrapper
 
     for name in counts:
-        monkeypatch.setattr(gpea.kites, name, counted(name, getattr(gpea.kites, name)))
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return counts
 
 
@@ -648,10 +655,12 @@ def test_verify_kite_scope_builds_each_shared_algebra_once(
 ) -> None:
     """One power per (base, index size), one kite per buildable spec, and
     per distinct twist (18 on the grid; every buildable grid spec has the
-    identity twist) one unitizing check, one orbit support check, and, when
-    the twist has kites, one unit extension with one RDP and two
-    least-ideal scans, one per reading."""
+    identity twist), when the twist has kites, one unit extension with one
+    RDP and two least-ideal scans, one per reading.  The unitizing check
+    and the orbit support check, once per twist, are made by ``verify``
+    itself, and the kites module makes none."""
     counts = count_kite_work(monkeypatch)
+    checks = count_kite_work(monkeypatch, gpea.verify)
     run_verify("kite", 2)
     assert counts == {
         "power_gpea": 6,
@@ -659,6 +668,15 @@ def test_verify_kite_scope_builds_each_shared_algebra_once(
         "gamma_unitize": 6,
         "rdp_profile": 6,
         "smallest_normal_riesz_ideal": 12,
+        "is_unitizing": 0,
+        "classify_subset": 0,
+    }
+    assert checks == {
+        "power_gpea": 0,
+        "_paste": 0,
+        "gamma_unitize": 0,
+        "rdp_profile": 0,
+        "smallest_normal_riesz_ideal": 0,
         "is_unitizing": 18,
         "classify_subset": 28,
     }
@@ -697,8 +715,8 @@ def test_single_kite_command_builds_no_extension(
         "gamma_unitize": 0,
         "rdp_profile": 1,
         "smallest_normal_riesz_ideal": 2,
-        "is_unitizing": 1,
-        "classify_subset": 2,
+        "is_unitizing": 0,
+        "classify_subset": 0,
     }
 
 

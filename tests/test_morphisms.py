@@ -48,6 +48,7 @@ import random
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
+import gpea.core
 from gpea import (
     FiniteGpea,
     boolean,
@@ -320,6 +321,19 @@ def test_plan_places_every_element_once_and_forces_each_sum():
     # Three atoms branch; the other 23 nonzero elements are their sums.
     steps = builtin(CATALOG[8]).morphism_plan.steps
     assert sum(summands is None for _, summands in steps) == 3
+
+
+def test_only_a_source_past_the_profile_test_builds_its_plan(monkeypatch):
+    p, q, other = chain(3), builtin("chain(3)"), boolean(2)
+    assert find_morphisms(other, p) == []
+    assert find_morphisms(p, q) == [tuple(p.elements)]
+    assert [g for g in (p, q, other) if "morphism_plan" in vars(g)] == [p]
+    # The class filter at size 7 searches from 135 of its 296 tables.
+    plans = []
+    build = gpea.core._morphism_plan
+    monkeypatch.setattr(gpea.core, "_morphism_plan", lambda g: plans.append(g) or build(g))
+    assert len(enumerate_gpeas(7)) == 171
+    assert len(plans) == 135
 
 
 # The representatives plus the unit extensions of those up to size 5.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -247,9 +248,35 @@ def test_recognition_shape_is_forced_by_the_soft_clauses():
                     continue
                 assert 2 * len(members) == n
                 assert all(u.pea.ll(x) in members for x in members)
-                assert recognize_unitization(u, members).recognized
+                assert_recognized(u, members)
                 passing += 1
     assert (algebras, passing) == (42, 10)
+
+
+def assert_recognized(u, members) -> None:
+    """Recognition succeeds, its twist is unitizing and its map is an
+    isomorphism onto ``u``: what ``recognize_unitization`` proves
+    without checking."""
+    rec = recognize_unitization(u, members)
+    assert rec.recognized, rec.diagnostics
+    assert is_unitizing(rec.extension.base, rec.gamma)
+    assert is_isomorphism(rec.extension.algebra, u, rec.iso)
+
+
+def test_recognized_twist_and_map_hold_on_every_small_extension():
+    """Every unit extension of a base of at most four elements, and a
+    seeded relabelling of each that fixes 0, recognized from its base."""
+    rng = random.Random(30)
+    extensions = 0
+    for n in range(1, 5):
+        for g in enumerate_gpeas(n):
+            for gamma in enumerate_unitizing(g):
+                u = gamma_unitize(g, gamma).algebra
+                assert_recognized(u, range(n))
+                perm = [0, *rng.sample(range(1, 2 * n), 2 * n - 1)]
+                assert_recognized(u.relabel(perm), {perm[x] for x in range(n)})
+                extensions += 1
+    assert extensions == 15
 
 
 # ---------------------------------------------------------------------- states

@@ -194,6 +194,66 @@ def test_rdp_scope_counts_refinement_without_splitting(monkeypatch):
     assert result.witnesses[0].endswith(": rdp=True rdp0=False")
 
 
+def test_kite_scope_counts_a_wrong_unitizing_verdict(monkeypatch):
+    """The characterization is checked in ``verify``: a negated unitizing
+    verdict fails it on every spec, witnessed by the spec's label."""
+    unitizing = gpea.verify.is_unitizing
+    monkeypatch.setattr(
+        gpea.verify, "is_unitizing", lambda g, gamma: not unitizing(g, gamma)
+    )
+    by_name = {r.name: r for r in run_verify("kite", BUDGET).results}
+    result = by_name["kite_transfer_characterization"]
+    assert result.failures == result.instances == 82
+    assert result.witnesses[0] == (
+        "chain(1):k=1:lam=(0,):rho=(0,): twist permutation is unitizing "
+        "exactly when the transfer condition holds"
+    )
+    assert by_name["kite_component_ideals"].failures == 0
+
+
+def test_kite_scope_counts_a_support_that_is_not_normal(monkeypatch):
+    """The component supports are checked in ``verify``: read as not
+    normal, they fail ``kite_component_ideals`` on every spec whose twist
+    has more than one orbit, 26 per base."""
+    classify = gpea.verify.classify_subset
+    monkeypatch.setattr(
+        gpea.verify,
+        "classify_subset",
+        lambda g, members, gamma=None: replace(
+            classify(g, members, gamma), normal=False
+        ),
+    )
+    by_name = {r.name: r for r in run_verify("kite", BUDGET).results}
+    result = by_name["kite_component_ideals"]
+    assert (result.instances, result.failures) == (82, 52)
+    assert result.witnesses[0] == (
+        "chain(1):k=2:lam=(0, 1):rho=(0, 1): "
+        "component support is not a twist-closed normal ideal"
+    )
+    assert by_name["kite_transfer_characterization"].failures == 0
+
+
+def test_kite_scope_counts_a_least_ideal_over_a_disconnected_index_set(monkeypatch):
+    """The implication is checked in ``verify``: a report whose hypotheses
+    arm, with a least ideal and a disconnected index set, fails."""
+    connectivity = gpea.verify.index_connectivity
+
+    def armed(spec):
+        report = connectivity(spec)
+        return replace(report, implication_checked=True, kite_smallest=frozenset({0}))
+
+    monkeypatch.setattr(gpea.verify, "index_connectivity", armed)
+    by_name = {r.name: r for r in run_verify("kite", BUDGET).results}
+    result = by_name["kite_component_ideals"]
+    # Per base: the specs of the identity twists over two and three
+    # indices and of the three transpositions over three.
+    assert (result.instances, result.failures) == (82, 52)
+    assert result.witnesses[0] == (
+        "chain(1):k=2:lam=(0, 1):rho=(0, 1): kite has a smallest nontrivial "
+        "normal Riesz ideal but the index set is disconnected"
+    )
+
+
 def test_runs_are_deterministic(budget2_report):
     again = run_verify("all", BUDGET)
     assert again.lines() == budget2_report.lines()
