@@ -35,26 +35,23 @@ reindexing: ``(a_i)⁻ = (η a_{rho(i)})``, ``(a_i)~ = (η a_{lam(i)})``,
 
 Every entry point keeps what it shares in the base's ``verdicts`` store
 (see :attr:`FiniteGpea.verdicts`), so each piece of work is done once per
-base.  The store holds seven kinds of entry: the power per index size
+base.  The store holds five kinds of entry: the power per index size
 (key ``("power", k)``); per twist (``spec.twist_indices``) the
-reindexing permutation (``"twist"``), the unit extension
-(``"extension"``), the twist's first kite (``"first kite"``) and that
-kite's RDP₁ verdict with its least nontrivial normal Riesz ideal under
-the improper-included and the proper-only readings, each ``None`` when
-there is none (``"refinement"``); per spec (``lam``, ``rho``) the kite
-(``"kite"``) and its isomorphism report (``"iso"``).  Calls over one
-base share that work and return the same frozen objects; the RDP₁
-verdict and least ideals of a twist's first kite reach its other kites
-through two such isomorphisms, both checked.
+reindexing permutation (``"twist"``) and the unit extension
+(``"extension"``); per spec (``lam``, ``rho``) the kite (``"kite"``) and
+its isomorphism report (``"iso"``).  Calls over one base share that work
+and return the same frozen objects.
 
 Two theorems about kites are checked in ``verify``, where they are
 counted, and not here: that the reindexing permutation is unitizing
 exactly when the transfer condition holds, and that the supports of
 distinct twist orbits are twist-closed normal ideals meeting only in
-zero, with a least ideal forcing a connected index set.  A built kite
-still passes the axioms and its canonical map from the unit extension
-is still checked, because carrying least ideals between kites relies
-on that map.
+zero.  A third, that a least nontrivial normal Riesz ideal of the kite
+forces a connected index set, is settled by proof (see
+:class:`ConnectivityReport`).  A built kite still passes the axioms and
+its canonical map from the unit extension is still checked, because
+those two checks are what ``verify`` counts as ``kite_axioms`` and
+``kite_extension_isomorphism``.
 """
 
 from __future__ import annotations
@@ -390,12 +387,48 @@ class ConnectivityReport:
     ``kite_smallest_proper`` the smallest nontrivial normal Riesz ideal
     of the kite under the improper-included and proper-only readings,
     and ``implication_checked`` whether the hypotheses of "a smallest
-    ideal forces a connected index set" armed (a base of more than one
+    ideal forces a connected index set" arm (a base of more than one
     element that is upward directed, the transfer condition, the
-    refinement property); ``verify`` checks the consequence then.  Over
-    the one-element base every index set gives the same two-element
-    kite, whose whole carrier is its smallest ideal, so that kite tells
-    nothing about connectivity and the hypotheses do not arm there.
+    refinement property).  Over the one-element base every index set
+    gives the same two-element kite, whose whole carrier is its smallest
+    ideal, so that kite tells nothing about connectivity and the
+    hypotheses do not arm there.
+
+    Once the hypotheses arm, the kite has no smallest ideal in either
+    reading, so the implication holds vacuously and nothing checks it.
+    Let the base ``P`` have more than one element and be upward directed,
+    and let the transfer condition hold.
+
+    * ``P`` is not total: a total finite table is a finite cancellative
+      monoid, so a group, and positivity leaves only 0.  So the transfer
+      condition gives ``lam = rho`` and a weakly commutative ``P``.
+    * Finite and upward directed, ``P`` has a greatest element ``u``, and
+      ``T = (u, ..., u)`` is the greatest tuple.  ``u + a`` or ``a + u``
+      is defined only for ``a = 0``: it lies above ``u``, so equals it,
+      and cancellation leaves ``a = 0``.  In ``P`` the left and right
+      supplements of ``x`` under ``u`` agree: ``x + x⁻`` is defined by
+      weak commutativity and lies below ``u = x + x~``, so ``x⁻ <= x~``,
+      and symmetrically ``x~ <= x⁻``.
+    * The power is a normal Riesz ideal of the kite.  It is a normal ideal
+      of its unit extension, Riesz there because it is upward directed
+      (coordinatewise, as ``P`` is; the paper's theorem, counted as
+      ``base_riesz_iff_upward``), and the canonical isomorphism onto the
+      kite fixes every tuple.
+    * ``J = {0, η(T)}`` is a normal Riesz ideal.  Only ``0`` and ``η(T)``
+      lie below ``η(T)``: a tuple ``t`` with ``t + η(w) = η(T)`` needs
+      ``u + t_{lam(i)}`` defined, so ``t = 0``, and a mirror with
+      ``η(b) + t = η(T)`` needs ``t_{rho(i)} + u = b_i``, so ``b = T``.
+      Two mirrors never add, so ``J`` is an ideal.  Normal: a mirror adds
+      to ``η(T)`` on neither side; a tuple ``a`` gives ``a + η(T) =
+      η(c)`` and ``η(T) + a = η(c')`` with ``c_i`` the left and ``c'_i``
+      the right supplement of ``a_{lam(i)} = a_{rho(i)}`` under ``u``, so
+      ``c = c'``.  Riesz: every mirror ``η(c)`` lies above ``η(T)`` (add
+      the tuple ``t`` with ``t_{rho(i)} = c_i⁻``) and no tuple does, so
+      ``η(T) <= a + b`` makes exactly one of ``a``, ``b`` a mirror, and
+      ``η(T)`` below it and ``0`` below the other sum to ``η(T)``.
+    * Both ideals are nontrivial and proper (``T != 0``, and neither holds
+      the unit ``η(0)``), and they meet only in ``0``.  A least member of
+      either family would lie in both, so in ``{0}``: there is none.
     """
 
     components: tuple[frozenset[int], ...]
@@ -407,27 +440,11 @@ class ConnectivityReport:
     implication_checked: bool
 
 
-def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
-    """Partition the index set into twist orbits and report the kite's ideals.
-
-    The RDP₁ verdict and the two least nontrivial normal Riesz ideals
-    (improper-included and proper-only, see
-    :func:`smallest_normal_riesz_ideal`) are computed on the first kite of
-    the twist asked about on this base.  A later kite of the twist takes
-    the verdict unchanged and the least ideals mapped through
-    ``φ_spec ∘ φ_first⁻¹``.  Both maps are isomorphisms from the twist's
-    unit extension onto a kite, checked by :func:`kite_iso`, so the
-    composite is an isomorphism from the first kite onto the later one;
-    RDP₁ is invariant under it, and it maps the first kite's normal Riesz
-    ideals exactly onto the later kite's, so their least members too.  So
-    the first call of a twist builds the power and, when the transfer
-    condition holds within budget, the kite, and builds no unit
-    extension.
-    """
-    base, sigma = spec.base, spec.twist_indices
-    _power(spec)  # refuses a power over the element budget
+def _orbits(spec: KiteSpec) -> tuple[frozenset[int], ...]:
+    """The orbits of the twist ``i -> rho(lam⁻¹(i))``, by least index."""
+    sigma = spec.twist_indices
     seen: set[int] = set()
-    components: list[frozenset[int]] = []
+    orbits: list[frozenset[int]] = []
     for start in range(spec.index_size):
         if start in seen:
             continue
@@ -437,48 +454,35 @@ def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
             orbit.add(cursor)
             cursor = sigma[cursor]
         seen |= orbit
-        components.append(frozenset(orbit))
-    if not check_kc(spec).kci or 2 * base.size**spec.index_size > element_budget():
-        return _connectivity_report(spec, tuple(components), None)
-    first = _stored(base, ("first kite", sigma), lambda: spec)
-    g = build_kite(first).algebra
-    rdp1, *least = _stored(
-        base,
-        ("refinement", sigma),
-        lambda: (
-            rdp_profile(g).rdp1,
-            smallest_normal_riesz_ideal(g),
-            smallest_normal_riesz_ideal(g, include_improper=False),
-        ),
-    )
-    if (first.lam, first.rho) != (spec.lam, spec.rho):
-        to_spec = kite_iso(spec).phi
-        carry = [to_spec[x] for x in _inverse(kite_iso(first).phi)]
-        least = [None if m is None else frozenset(carry[x] for x in m) for m in least]
-    return _connectivity_report(spec, tuple(components), (rdp1, *least))
+        orbits.append(frozenset(orbit))
+    return tuple(orbits)
 
 
-def _connectivity_report(
-    spec: KiteSpec,
-    components: tuple[frozenset[int], ...],
-    refinement: tuple[bool, frozenset[int] | None, frozenset[int] | None] | None,
-) -> ConnectivityReport:
-    """Assemble the report from the orbits.
+def index_connectivity(spec: KiteSpec) -> ConnectivityReport:
+    """Partition the index set into twist orbits and report the kite's ideals.
 
-    ``refinement`` is the kite's RDP₁ verdict and its least nontrivial
-    normal Riesz ideal under the improper-included and the proper-only
-    readings, or ``None`` when no kite is built.
+    When the transfer condition holds within budget, the RDP₁ verdict and
+    the two least nontrivial normal Riesz ideals (improper-included and
+    proper-only, see :func:`smallest_normal_riesz_ideal`) are computed on
+    the spec's own kite, whose ``verdicts`` store keeps its ideal sweep.
+    No unit extension is built.  ``gpea kite`` and ``verify`` need only
+    the orbits, so neither calls this.
     """
-    kite_rdp1, smallest, smallest_proper = refinement or (None, None, None)
     base = spec.base
+    _power(spec)  # refuses a power over the element budget
+    components = _orbits(spec)
+    rdp1 = smallest = smallest_proper = None
+    if check_kc(spec).kci and 2 * base.size**spec.index_size <= element_budget():
+        g = build_kite(spec).algebra
+        rdp1 = rdp_profile(g).rdp1
+        smallest = smallest_normal_riesz_ideal(g)
+        smallest_proper = smallest_normal_riesz_ideal(g, include_improper=False)
     return ConnectivityReport(
         components=components,
         connected=len(components) == 1,
         pairs_verified=len(components) * (len(components) - 1) // 2,
-        kite_rdp1=kite_rdp1,
+        kite_rdp1=rdp1,
         kite_smallest=smallest,
         kite_smallest_proper=smallest_proper,
-        implication_checked=bool(kite_rdp1)
-        and base.size > 1
-        and base.flags.upward_directed,
+        implication_checked=bool(rdp1) and base.size > 1 and base.flags.upward_directed,
     )

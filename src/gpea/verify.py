@@ -44,15 +44,7 @@ from .ideals import (
     riesz_congruence_roundtrip,
     sim_from_ideal,
 )
-from .kites import (
-    ConnectivityReport,
-    KiteSpec,
-    _power,
-    check_kc,
-    index_connectivity,
-    kite_gamma,
-    kite_iso,
-)
+from .kites import KiteSpec, _orbits, _power, check_kc, kite_gamma, kite_iso
 from .rdp import rdp_profile, rdp_transfer
 from .unitization import (
     UnitizationAlgebra,
@@ -523,14 +515,18 @@ def _verify_kite(tallies: _Tallies) -> None:
       sides computed independently, and compared only here).
     * ``kite_component_ideals`` — tuples supported on distinct orbits of
       the twist form twist-closed normal ideals of the power meeting
-      only in zero; when the pasting exists, a smallest nontrivial
-      normal Riesz ideal forces a connected index set (checked when its
-      hypotheses arm).  Both are checked only here, on the report of
-      ``index_connectivity``.  On this grid the implication never arms: each of
-      the 18 buildable kites has the two-element normal Riesz ideal of 0
-      and the mirror of the top tuple, which meets the power (itself a
-      proper normal Riesz ideal) only in 0, so no kite has a smallest
-      nontrivial normal Riesz ideal in either reading.
+      only in zero, checked only here, on the orbits of ``kites._orbits``.
+
+    The implication "a smallest nontrivial normal Riesz ideal of the kite
+    forces a connected index set" is settled by proof, not checked: its
+    hypotheses (a base of more than one element that is upward directed,
+    the transfer condition, RDP₁) never hold together with a smallest
+    ideal.  The transfer condition over such a base forces ``lam = rho``
+    and a weakly commutative base with a greatest element ``u``; then the
+    power and ``{0, η(u, ..., u)}`` are both nontrivial proper normal
+    Riesz ideals of the kite meeting only in 0, so neither reading has a
+    least one (the full proof is in ``kites.ConnectivityReport``).  On
+    this grid: each of the 18 buildable kites has those two ideals.
 
     On the pairs where the transfer condition holds (so the pasting is
     defined):
@@ -548,15 +544,9 @@ def _verify_kite(tallies: _Tallies) -> None:
     Work is shared within one (base, index size) and nothing else: each
     gets a freshly built base, in whose ``verdicts`` store the kite
     functions keep one power; per twist one reindexing permutation and
-    unit extension; one kite and isomorphism check per buildable spec;
-    and per twist one RDP₁ verdict and normal Riesz ideal sweep, on the
-    twist's first kite.
-    This is exact: every later kite of the twist takes that RDP₁ verdict,
-    an isomorphism invariant, and those ideals mapped through
-    ``φ_spec ∘ φ_first⁻¹``, the composite of the two isomorphisms from the
-    unit extension that ``kite_extension_isomorphism`` checks.  So a
-    carried spec fails ``kite_component_ideals`` too when its own or the
-    first kite's isomorphism check fails; a twist's first kite does not.
+    unit extension; one kite and isomorphism check per buildable spec.
+    A failed kite build or isomorphism check is counted under
+    ``kite_axioms`` and ``kite_extension_isomorphism`` only.
     """
     for base_name, height in _KITE_BASES:
         for k in range(1, _KITE_MAX_INDEX + 1):
@@ -596,24 +586,17 @@ def _verify_kite_power(
                 else:
                     tallies["kite_axioms"].check(label, True)
                     tallies["kite_extension_isomorphism"].check(label, True)
-            try:
-                report = index_connectivity(spec)
-            except AlgebraError as exc:
-                problem = str(exc)
-            else:
-                if sigma not in component_problems:
-                    component_problems[sigma] = _component_problem(spec, report)
-                problem = component_problems[sigma]
+            if sigma not in component_problems:
+                component_problems[sigma] = _component_problem(spec, _orbits(spec))
+            problem = component_problems[sigma]
             tallies["kite_component_ideals"].check(f"{label}: {problem}", not problem)
 
 
-def _component_problem(spec: KiteSpec, report: ConnectivityReport) -> str:
-    """Why ``report`` breaks ``kite_component_ideals``, or ``""``.
+def _component_problem(spec: KiteSpec, orbits: tuple[frozenset[int], ...]) -> str:
+    """Why the twist's ``orbits`` break ``kite_component_ideals``, or ``""``.
 
-    The tuples supported on each of two distinct components must form
-    twist-closed normal ideals of the power meeting only in zero, and
-    once the hypotheses arm, a least ideal of the kite forces a
-    connected index set.
+    The tuples supported on each of two distinct orbits must form
+    twist-closed normal ideals of the power meeting only in zero.
     """
     power, gamma = _power(spec), kite_gamma(spec)
     supported = [
@@ -622,7 +605,7 @@ def _component_problem(spec: KiteSpec, report: ConnectivityReport) -> str:
             for t, tup in enumerate(power.tuples)
             if all(x == 0 for i, x in enumerate(tup) if i not in comp)
         )
-        for comp in report.components
+        for comp in orbits
     ]
     for first, second in itertools.combinations(supported, 2):
         for members in (first, second):
@@ -631,11 +614,6 @@ def _component_problem(spec: KiteSpec, report: ConnectivityReport) -> str:
                 return "component support is not a twist-closed normal ideal"
         if first & second != {0}:
             return "supports of distinct components must meet only in zero"
-    if report.implication_checked and report.kite_smallest and not report.connected:
-        return (
-            "kite has a smallest nontrivial normal Riesz ideal "
-            "but the index set is disconnected"
-        )
     return ""
 
 

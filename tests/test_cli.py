@@ -628,6 +628,11 @@ def test_check_runs_the_axiom_check_once(capsys, monkeypatch):
             0,
             "kite-chain2-index2-swap.txt",
         ),
+        (
+            ["kite", "--base", str(GOLDEN / "flat5.gpea"), "--index", "2", "--lambda", "0,1", "--rho", "0,1"],
+            0,
+            "kite-flat5-index2.txt",
+        ),
         (["unitize", "fig1", "--gamma", "0,2,1,3,5,4"], 0, "unitize-fig1.txt"),
         (["check", str(GOLDEN / "ext-fig1-swap.gpea")], 0, "check-ext-fig1-swap.txt"),
         (["check", "boolean(3)"], 0, "check-boolean3.txt"),

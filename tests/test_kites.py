@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
+import gpea.cli
+import gpea.ideals
 import gpea.kites
 import gpea.verify
 from gpea import (
@@ -35,6 +38,8 @@ from gpea.ideals import classify_subset, normal_riesz_ideals
 from gpea.rdp import rdp_profile
 from gpea.verify import run_verify
 from test_kernels import least_ideal
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def identity(k: int) -> tuple[int, ...]:
@@ -404,8 +409,9 @@ def reference_index_connectivity(spec: KiteSpec) -> ConnectivityReport:
     """``index_connectivity`` as it was before verify shared its work:
     every spec builds its own power and kite and computes the refinement
     property and the normal Riesz ideals on that kite.  It also raises on
-    the characterization, support and implication checks, which
-    ``verify`` now makes and ``index_connectivity`` does not."""
+    the characterization and support checks, which ``verify`` now makes,
+    and on the implication, which is settled by proof; ``index_connectivity``
+    makes none of them."""
     sigma = spec.twist_indices
     seen: set[int] = set()
     components: list[frozenset[int]] = []
@@ -498,22 +504,10 @@ def spec_key(spec: KiteSpec) -> tuple:
 
 
 def test_verify_kite_scope_carries_exact_results(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Each spec's report, isomorphism and carried least ideals, as verify
-    computes them, against a per-spec recomputation on the spec's own kite.
-
-    No grid kite has a smallest normal Riesz ideal, so this alone would not
-    notice a wrong carrying map; the next two tests check the map.
-    """
-    reports: dict[tuple, tuple] = {}
+    """Each spec's isomorphism report, as verify computes it on its shared
+    bases, against a per-spec recomputation."""
     isos: dict[tuple, tuple] = {}
-    connectivity_report = gpea.kites._connectivity_report
     iso_report = gpea.kites._iso_report
-
-    def record_connectivity(spec, orbits, refinement):
-        report = connectivity_report(spec, orbits, refinement)
-        assert spec_key(spec) not in reports
-        reports[spec_key(spec)] = (report, refinement)
-        return report
 
     def record_iso(kite, extension):
         report = iso_report(kite, extension)
@@ -521,26 +515,16 @@ def test_verify_kite_scope_carries_exact_results(monkeypatch: pytest.MonkeyPatch
         isos[spec_key(kite.spec)] = (report.phi, report.searched_exhaustively)
         return report
 
-    monkeypatch.setattr(gpea.kites, "_connectivity_report", record_connectivity)
     monkeypatch.setattr(gpea.kites, "_iso_report", record_iso)
     assert run_verify("kite", 2).passed
     monkeypatch.undo()
 
     grid = verify_grid()
-    assert len(grid) == 82 and len(reports) == 82
-    buildable = 0
-    for spec in grid:
-        report, refinement = reports[spec_key(spec)]
-        assert report == reference_index_connectivity(spec), spec
-        if not check_kc(spec).kci:
-            assert refinement is None and spec_key(spec) not in isos
-            continue
-        buildable += 1
-        kite = build_kite(spec).algebra
-        assert refinement == (rdp_profile(kite).rdp1, *direct_least_ideals(kite)), spec
+    buildable = [spec for spec in grid if check_kc(spec).kci]
+    assert len(grid) == 82 and len(buildable) == len(isos) == 18
+    for spec in buildable:
         expected = kite_iso(spec)
         assert isos[spec_key(spec)] == (expected.phi, expected.searched_exhaustively)
-    assert buildable == len(isos) == 18
 
 
 def direct_least_ideals(kite) -> tuple:
@@ -552,66 +536,111 @@ def direct_least_ideals(kite) -> tuple:
     )
 
 
+def carry(first: KiteSpec, later: KiteSpec, members: frozenset[int]) -> frozenset[int]:
+    """``members`` of ``first``'s kite mapped through ``φ_later ∘ φ_first⁻¹``.
+
+    Both maps are the canonical isomorphisms from the twist's unit
+    extension, so the composite is an isomorphism from the first kite
+    onto the later one, and maps normal Riesz ideals, and least ones,
+    exactly onto the later kite's."""
+    to_later = kite_iso(later).phi
+    from_first = {y: x for x, y in enumerate(kite_iso(first).phi)}
+    return frozenset(to_later[from_first[x]] for x in members)
+
+
 @pytest.mark.parametrize(
     "base", [chain(0), enumerate_gpeas(3)[1]], ids=["chain0", "n3#1"]
 )
-def test_carried_least_ideals_where_one_exists(
-    monkeypatch: pytest.MonkeyPatch, base
-) -> None:
+def test_carried_least_ideals_where_one_exists(base) -> None:
     """Kites with a least ideal, every spec of index size 1 and 2 in
-    order, so a later spec of a twist carries it: over the one-element
-    base it is ``{0, 1}``, over ``enumerate_gpeas(3)[1]`` the whole
-    carrier."""
-    carried = []
-    connectivity_report = gpea.kites._connectivity_report
-
-    def record(spec, orbits, refinement):
-        carried.append((spec, refinement))
-        return connectivity_report(spec, orbits, refinement)
-
-    monkeypatch.setattr(gpea.kites, "_connectivity_report", record)
+    order: over the one-element base it is ``{0, 1}``, over
+    ``enumerate_gpeas(3)[1]`` the whole carrier.  Each kite's own least
+    ideals are the ones ``index_connectivity`` reports, and the carry from
+    the first kite of its twist reaches them."""
+    firsts: dict[tuple[int, ...], KiteSpec] = {}
+    buildable = carried = 0
     for k in (1, 2):
         for lam, rho in itertools.product(itertools.permutations(range(k)), repeat=2):
-            index_connectivity(KiteSpec(base=base, index_size=k, lam=lam, rho=rho))
-    monkeypatch.undo()
-    buildable = [(spec, refinement) for spec, refinement in carried if refinement]
-    assert len(buildable) == (5 if base.size == 1 else 3)
-    for spec, refinement in buildable:
-        kite = build_kite(spec).algebra
-        least = direct_least_ideals(kite)
-        assert least[0] == frozenset(range(kite.size)), spec
-        assert refinement == (rdp_profile(kite).rdp1, *least), spec
+            spec = KiteSpec(base=base, index_size=k, lam=lam, rho=rho)
+            if not check_kc(spec).kci:
+                continue
+            buildable += 1
+            kite = build_kite(spec).algebra
+            least = direct_least_ideals(kite)
+            assert least[0] == frozenset(range(kite.size)), spec
+            report = index_connectivity(spec)
+            assert (report.kite_smallest, report.kite_smallest_proper) == least, spec
+            first = firsts.setdefault(spec.twist_indices, spec)
+            if first is spec:
+                continue
+            carried += 1
+            first_least = direct_least_ideals(build_kite(first).algebra)
+            assert tuple(
+                None if m is None else carry(first, spec, m) for m in first_least
+            ) == least, spec
+    assert (buildable, carried) == ((5, 2) if base.size == 1 else (3, 1))
 
 
-def test_carried_ideals_undo_the_first_kites_isomorphism(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """On verify's grid every twist's first kite has ``lam`` the identity,
-    so its isomorphism is the identity too.  With the swap spec first, the
-    identity spec's least ideals are carried through ``φ_id ∘ φ_swap⁻¹``.
-    The swap kite has no least ideal, so each of its normal Riesz ideals
-    is planted in turn as its least proper one: the carried sets must be
-    exactly the identity kite's own normal Riesz ideals."""
-    swap, same = ((1, 0), (1, 0)), ((0, 1), (0, 1))
-    kites = [build_kite(KiteSpec(chain(1), 2, *lr)).algebra for lr in (swap, same)]
-    family, own = map(normal_riesz_ideals, kites)
-    carried = []
-    for planted in family:
-        monkeypatch.setattr(
-            gpea.kites,
-            "smallest_normal_riesz_ideal",
-            lambda g, include_improper=True: None if include_improper else planted,
-        )
-        base = chain(1)
-        first, later = (
-            index_connectivity(KiteSpec(base, 2, *lr)) for lr in (swap, same)
-        )
-        assert first.kite_smallest_proper == planted
-        assert later.kite_smallest is None
-        carried.append(later.kite_smallest_proper)
-    monkeypatch.undo()
-    assert len(set(carried)) == len(family) and set(carried) == set(own)
+def test_carried_ideals_undo_the_first_kites_isomorphism() -> None:
+    """With the swap spec first, the identity spec's ideals are carried
+    through ``φ_id ∘ φ_swap⁻¹``.  Neither kite has a least ideal, so the
+    carry is checked on every normal Riesz ideal of the swap kite: the
+    carried sets must be exactly the identity kite's own, which differ
+    from the swap kite's."""
+    base = chain(1)
+    swap, same = (KiteSpec(base, 2, lr, lr) for lr in ((1, 0), (0, 1)))
+    family, own = (normal_riesz_ideals(build_kite(s).algebra) for s in (swap, same))
+    carried = {carry(swap, same, members) for members in family}
+    assert len(carried) == len(family) and carried == set(own)
     assert set(family) != set(own)
+
+
+def upward_kites() -> list[KiteSpec]:
+    """Every buildable kite over an upward-directed base of more than one
+    element: each enumerated base of size 2 to 5 at index sizes 1 and 2,
+    and verify's grid at index size 3."""
+    specs = [
+        KiteSpec(base=base, index_size=k, lam=lam, rho=rho)
+        for size in range(2, 6)
+        for base in enumerate_gpeas(size)
+        if base.flags.upward_directed
+        for k in (1, 2)
+        for lam, rho in itertools.product(itertools.permutations(range(k)), repeat=2)
+    ]
+    specs += [spec for spec in verify_grid() if spec.index_size == 3]
+    return [spec for spec in specs if check_kc(spec).kci]
+
+
+def test_upward_kites_have_two_normal_riesz_ideals_meeting_in_zero() -> None:
+    """The premises of the proof that no such kite has a least nontrivial
+    normal Riesz ideal (see ``ConnectivityReport``): the transfer
+    condition forces ``lam = rho``, and the power and ``{0, η(top
+    tuple)}`` are proper normal Riesz ideals meeting only in 0."""
+    specs = upward_kites()
+    assert len(specs) == 27 + 12
+    for spec in specs:
+        assert spec.lam == spec.rho, spec
+        kite = build_kite(spec)
+        base, g = spec.base, kite.algebra
+        top = next(u for u in base.elements if all(base.le(a, u) for a in base.elements))
+        top_tuple = kite.power.index_of((top,) * spec.index_size)
+        power, mirror_top = frozenset(range(kite.m)), frozenset({0, kite.eta(top_tuple)})
+        for members in (power, mirror_top):
+            flags = classify_subset(g, members)
+            assert flags.ideal and flags.normal and flags.riesz, spec
+            assert kite.unit not in members and len(members) > 1, spec
+        assert power & mirror_top == {0}, spec
+
+
+def test_grid_kites_have_no_least_normal_riesz_ideal() -> None:
+    """The conclusion of that proof on verify's 18 buildable grid kites,
+    in both readings."""
+    specs = [spec for spec in verify_grid() if check_kc(spec).kci]
+    assert len(specs) == 18
+    for spec in specs:
+        g = build_kite(spec).algebra
+        assert smallest_normal_riesz_ideal(g) is None, spec
+        assert smallest_normal_riesz_ideal(g, include_improper=False) is None, spec
 
 
 def test_public_connectivity_matches_the_per_spec_reference() -> None:
@@ -655,10 +684,10 @@ def test_verify_kite_scope_builds_each_shared_algebra_once(
 ) -> None:
     """One power per (base, index size), one kite per buildable spec, and
     per distinct twist (18 on the grid; every buildable grid spec has the
-    identity twist), when the twist has kites, one unit extension with one
-    RDP and two least-ideal scans, one per reading.  The unitizing check
-    and the orbit support check, once per twist, are made by ``verify``
-    itself, and the kites module makes none."""
+    identity twist), when the twist has kites, one unit extension.  No RDP
+    or least-ideal scan: the implication they fed is settled by proof.
+    The unitizing check and the orbit support check, once per twist, are
+    made by ``verify`` itself, and the kites module makes none."""
     counts = count_kite_work(monkeypatch)
     checks = count_kite_work(monkeypatch, gpea.verify)
     run_verify("kite", 2)
@@ -666,8 +695,8 @@ def test_verify_kite_scope_builds_each_shared_algebra_once(
         "power_gpea": 6,
         "_paste": 18,
         "gamma_unitize": 6,
-        "rdp_profile": 6,
-        "smallest_normal_riesz_ideal": 12,
+        "rdp_profile": 0,
+        "smallest_normal_riesz_ideal": 0,
         "is_unitizing": 0,
         "classify_subset": 0,
     }
@@ -713,11 +742,36 @@ def test_single_kite_command_builds_no_extension(
         "power_gpea": 1,
         "_paste": 1,
         "gamma_unitize": 0,
-        "rdp_profile": 1,
-        "smallest_normal_riesz_ideal": 2,
+        "rdp_profile": 0,
+        "smallest_normal_riesz_ideal": 0,
         "is_unitizing": 0,
         "classify_subset": 0,
     }
+
+
+def test_flat_kite_command_runs_no_ideal_sweep(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str], tmp_path
+) -> None:
+    """The 50-element kite of the flat size-5 base, in which no two nonzero
+    elements have a sum: the command prints nothing that needs the kite's
+    ideals or refinement, and makes no call that computes them.  Counted,
+    not timed: a full ideal sweep of this kite takes over a minute."""
+    calls: list[str] = []
+    for module in (gpea.cli, gpea.kites, gpea.ideals):
+        for name in ("enumerate_ideals", "rdp_profile"):
+            if hasattr(module, name):
+
+                def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    argv = ["kite", "--base", str(GOLDEN / "flat5.gpea"), "--index", "2"]
+    argv += ["--lambda", "0,1", "--rho", "0,1", "-o", str(tmp_path / "kite.txt")]
+    assert cli_run(argv) == 0
+    out = capsys.readouterr().out
+    assert "RESULT size=50" in out and "RESULT connected=false" in out
+    assert calls == []
 
 
 def test_kite_budget_refusal_comes_before_the_power(

@@ -305,12 +305,12 @@ def test_verify_all_at_budget_four_runs_each_kernel_once_per_algebra_and_key(
     distinct = {
         name: len({(id(g), key) for g, key in found}) for name, found in runs.items()
     }
-    # Without the store: 965 subset, 730 relation and 29 walk calls.
+    # Without the store: 941 subset, 730 relation and 29 walk calls.
     assert counts == distinct == {
-        "_subset_flags": 373,
+        "_subset_flags": 361,
         "_relation_flags": 155,
         "_partition_walk": 11,
-        "_ideal_sweep": 35,
+        "_ideal_sweep": 29,
     }
 
 

@@ -233,27 +233,6 @@ def test_kite_scope_counts_a_support_that_is_not_normal(monkeypatch):
     assert by_name["kite_transfer_characterization"].failures == 0
 
 
-def test_kite_scope_counts_a_least_ideal_over_a_disconnected_index_set(monkeypatch):
-    """The implication is checked in ``verify``: a report whose hypotheses
-    arm, with a least ideal and a disconnected index set, fails."""
-    connectivity = gpea.verify.index_connectivity
-
-    def armed(spec):
-        report = connectivity(spec)
-        return replace(report, implication_checked=True, kite_smallest=frozenset({0}))
-
-    monkeypatch.setattr(gpea.verify, "index_connectivity", armed)
-    by_name = {r.name: r for r in run_verify("kite", BUDGET).results}
-    result = by_name["kite_component_ideals"]
-    # Per base: the specs of the identity twists over two and three
-    # indices and of the three transpositions over three.
-    assert (result.instances, result.failures) == (82, 52)
-    assert result.witnesses[0] == (
-        "chain(1):k=2:lam=(0, 1):rho=(0, 1): kite has a smallest nontrivial "
-        "normal Riesz ideal but the index set is disconnected"
-    )
-
-
 def test_runs_are_deterministic(budget2_report):
     again = run_verify("all", BUDGET)
     assert again.lines() == budget2_report.lines()
