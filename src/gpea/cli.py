@@ -155,7 +155,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
     if args.exclude_improper and not args.riesz:
         raise _InputError("--exclude-improper needs --riesz")
     g = _load_valid(args.file)
-    gamma = _parse_permutation(args.gamma) if args.gamma else None
+    gamma = _parse_permutation(args.gamma) if args.gamma is not None else None
     count = 0
     for members in enumerate_ideals(g):
         flags = classify_subset(g, members, gamma)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -185,7 +186,9 @@ class FiniteGpea:
     def sums(self) -> tuple[tuple[int, int, int], ...]:
         """Every defined sum as ``(a, b, a + b)``, in row-major order."""
         n = self.size
-        return tuple((*divmod(k, n), s) for k, s in enumerate(self.table) if s != n)
+        t = self.table
+        defined = [s != n for s in t]
+        return tuple((k // n, k % n, t[k]) for k in compress(range(n * n), defined))
 
     @cached_property
     def morphism_plan(self) -> "MorphismPlan":
@@ -196,13 +199,11 @@ class FiniteGpea:
     def _invariants(self) -> tuple[tuple, tuple]:
         """The plan's ``invariants`` and ``profile`` alone: all that a
         search target needs, and a source that fails the profile test."""
-        n = self.size
-        rows, cols, multiplicity = [0] * n, [0] * n, [0] * n
-        for a, b, s in self.sums:
-            rows[a] += 1
-            cols[b] += 1
+        rows, cols, _, _ = self.lines
+        multiplicity = [0] * self.size
+        for _, _, s in self.sums:
             multiplicity[s] += 1
-        invariants = tuple(zip(rows, cols, multiplicity))
+        invariants = tuple(zip(map(len, rows), map(len, cols), multiplicity))
         return invariants, tuple(sorted(invariants))
 
     def relabel(self, perm: Sequence[int]) -> "FiniteGpea":
@@ -261,6 +262,31 @@ class FiniteGpea:
     def le(self, a: int, b: int) -> bool:
         """``a <= b`` in the induced order."""
         return bool(self.order.up_masks[a] >> b & 1)
+
+    @cached_property
+    def lines(
+        self,
+    ) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]], list[int], list[int]]:
+        """``(rows, cols, after, before)``: each element's defined row and
+        column, read off ``sums`` once per table.
+
+        ``rows[x]`` lists the ``(y, x + y)`` and ``cols[y]`` the
+        ``(x, x + y)``, in increasing order of the other summand;
+        ``after[x]`` and ``before[y]`` hold the same other summands as
+        bitmasks.  Unlike the subtraction tables, raw tables have them:
+        :func:`validate_axioms` reads them.
+        """
+        n = self.size
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        after = [0] * n
+        before = [0] * n
+        for a, b, s in self.sums:
+            rows[a].append((b, s))
+            cols[b].append((a, s))
+            after[a] |= 1 << b
+            before[b] |= 1 << a
+        return rows, cols, after, before
 
     @cached_property
     def subtraction_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -458,10 +484,37 @@ def validate_axioms(table: FiniteGpea) -> AxiomReport:
     Associativity is verified as a full biconditional: for every triple,
     ``(a+b)+c`` exists iff ``a+(b+c)`` exists, and the values agree whenever
     both sides are defined.
+
+    The left side of associativity, neutrality and positivity are always
+    scanned.  The right side of associativity, conjugation and
+    cancellation are decided by counting over the rows and columns of
+    :attr:`FiniteGpea.lines`, and scanned only to name the smallest
+    witness of a failure:
+
+    * associativity, right side — the left scan visits each triple with
+      ``(a+b)+c`` defined once, one per sum ``(a, b, s)`` and entry of row
+      ``s``: ``L = sum |row(s)|`` triples.  The right scan visits each
+      triple with ``a+(b+c)`` defined, one per sum ``(b, c, t)`` and entry
+      of column ``t``: ``R = sum |col(t)|`` triples, and fails at exactly
+      those whose left side is undefined.  When the left scan fails
+      nowhere, every left-defined triple is right-defined, so the
+      left-defined triples are a subset of the right-defined ones, and
+      the right scan fails somewhere iff the subset is proper, iff
+      ``R != L``;
+    * conjugation — the check fails at ``(a, b, s)`` when ``s`` is not in
+      the column values of ``a`` or not in the row values of ``b``.  It
+      holds iff every element's row values equal its column values: if
+      they do, ``s``, a row value of ``a`` and a column value of ``b``, is
+      also a column value of ``a`` and a row value of ``b``; if it holds,
+      each row value ``s`` of ``a`` (at some ``(a, b, s)``) is a column
+      value of ``a``, and each column value of ``b`` a row value of ``b``;
+    * cancellation — a row or column fails iff it repeats a value, iff
+      its set of values is shorter than it.
     """
     n = table.size
     t = table.table
     sums = table.sums
+    rows, cols, _, _ = table.lines
 
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, tuple[int, int, int] | None] = {}
@@ -470,47 +523,47 @@ def validate_axioms(table: FiniteGpea) -> AxiomReport:
         verdicts[name] = not fails
         witnesses[name] = min(fails) if fails else None
 
-    # The defined (index, sum) entries of every row and every column.
-    rows = [
-        [(c, u) for c, u in enumerate(t[x * n : x * n + n]) if u != n]
-        for x in range(n)
-    ]
-    cols = [[(a, v) for a, v in enumerate(t[x::n]) if v != n] for x in range(n)]
-
     # associativity: every failing triple has at least one side defined, so
     # scanning "left side exists" and "right side exists" covers all failures.
+    # The right side is scanned only when the left scan failed (for the
+    # smallest witness) or the two sides count different triples.
     fails: list[tuple[int, int, int]] = []
     for a, b, s in sums:
+        an, bn = a * n, b * n
         for c, u in rows[s]:  # (a+b)+c defined
-            bc = t[b * n + c]
-            if bc == n or t[a * n + bc] != u:
+            bc = t[bn + c]
+            if bc == n or t[an + bc] != u:
                 fails.append((a, b, c))
-    for b, c, bc in sums:
-        for a, _ in cols[bc]:  # a+(b+c) defined
-            ab = t[a * n + b]
-            if ab == n or t[ab * n + c] == n:
-                fails.append((a, b, c))
+    col_minus_row = [len(col) - len(row) for row, col in zip(rows, cols)]
+    if fails or sum([col_minus_row[s] for _, _, s in sums]):
+        for b, c, bc in sums:
+            for a, _ in cols[bc]:  # a+(b+c) defined
+                ab = t[a * n + b]
+                if ab == n or t[ab * n + c] == n:
+                    fails.append((a, b, c))
     record("associativity", fails)
 
     # conjugation: a+b == some c+a and some b+d.
     fails = []
     row_value_sets = [{u for _, u in row} for row in rows]
     col_value_sets = [{v for _, v in col} for col in cols]
-    for a, b, s in sums:
-        if s not in col_value_sets[a] or s not in row_value_sets[b]:
-            fails.append((a, b, s))
+    if row_value_sets != col_value_sets:
+        for a, b, s in sums:
+            if s not in col_value_sets[a] or s not in row_value_sets[b]:
+                fails.append((a, b, s))
     record("conjugation", fails)
 
     # cancellation: rows and columns are injective on their defined entries.
     fails = []
-    for c in range(n):
-        for line in (cols[c], rows[c]):
-            seen: dict[int, int] = {}
-            for a, v in line:
-                if v in seen:
-                    fails.append((seen[v], a, c))
-                else:
-                    seen[v] = a
+    if list(map(len, row_value_sets + col_value_sets)) != list(map(len, rows + cols)):
+        for c in range(n):
+            for line in (cols[c], rows[c]):
+                seen: dict[int, int] = {}
+                for a, v in line:
+                    if v in seen:
+                        fails.append((seen[v], a, c))
+                    else:
+                        seen[v] = a
     record("cancellation", fails)
 
     # neutrality of 0 on both sides.

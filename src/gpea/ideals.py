@@ -229,34 +229,33 @@ def _check_r2(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
     member ``j <= b`` makes ``a + (j-to-b residual)`` defined.  Clause two:
     whenever ``b + (i-to-a residual)`` is defined some member ``k <= b``
     makes ``(b minus k) + a`` defined.  The "some member" side depends on
-    ``a`` and ``b`` only: it is tabulated per ``b`` as a bitmask of ``a``,
-    then transposed, so each ``(i, a)`` costs two mask tests.
+    ``a`` and ``b`` only, and is read off the sums: the ``b`` where clause
+    one finds a member are the ``j + c`` with ``j`` a member and ``a + c``
+    defined, and those of clause two the ``d + k`` with ``k`` a member and
+    ``d + a`` defined.  Each ``i <= a`` is then a sum ``(d, i, a)`` for
+    clause one, where ``d`` is ``a minus i``, and a sum ``(i, c, a)`` for
+    clause two, where ``c`` is the ``i``-to-``a`` residual.
     """
     n = g.size
-    left, right = g.subtraction_tables
-    down, up = g.order.down_masks, g.order.up_masks
-    after = [0] * n  # after[x]: the y with x + y defined
-    before = [0] * n  # before[y]: the x with x + y defined
-    for x, y, _ in g.sums:
-        after[x] |= 1 << y
-        before[y] |= 1 << x
+    rows, cols, after, before = g.lines
+    plus_members = [0] * n  # plus_members[c]: the j + c with j a member
+    members_plus = [0] * n  # members_plus[d]: the d + k with k a member
+    for j in inside:
+        for c, s in rows[j]:
+            plus_members[c] |= 1 << s
+        for d, s in cols[j]:
+            members_plus[d] |= 1 << s
     works_one = [0] * n  # works_one[a]: the b where clause one finds a member
     works_two = [0] * n
-    for b in range(n):
-        one = two = 0
-        for j in inside:
-            if down[b] >> j & 1:
-                one |= before[left[j * n + b]]
-                two |= after[right[j * n + b]]
-        for a in range(n):
-            works_one[a] |= (one >> a & 1) << b
-            works_two[a] |= (two >> a & 1) << b
+    for x, y, _ in g.sums:
+        works_one[x] |= plus_members[y]
+        works_two[y] |= members_plus[x]
     for i in inside:
-        for a in range(n):
-            if up[i] >> a & 1 and (
-                after[right[i * n + a]] & ~works_one[a]
-                or before[left[i * n + a]] & ~works_two[a]
-            ):
+        for d, a in cols[i]:
+            if after[d] & ~works_one[a]:
+                return False
+        for c, a in rows[i]:
+            if before[c] & ~works_two[a]:
                 return False
     return True
 

@@ -167,6 +167,21 @@ def test_ideals_refuses_exclude_improper_without_riesz(capsys, extra):
     assert err == "error: --exclude-improper needs --riesz\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideals", "boolean(2)", "--gamma", ""],
+        ["unitize", "fig1", "--gamma", ""],
+        ["kite", "--base", "chain(1)", "--index", "1", "--lambda", "", "--rho", "0"],
+    ],
+    ids=["ideals", "unitize", "kite"],
+)
+def test_an_empty_image_list_is_refused(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected a comma-separated image list")
+
+
 def test_ideals_smallest_counts_only_the_filtered_family(capsys, monkeypatch):
     sweeps = []
     sweep = gpea.ideals._ideal_sweep

@@ -9,6 +9,10 @@ worklist, and the ``value()``-based kite candidate maps.  The kernels
 must agree with them exactly: the whole ``RdpProfile`` with its
 witnesses, the ideal list in its order, the R1/Riesz flags of
 ``classify_subset`` on every ideal, and the candidate maps of each kite;
+R2, read off the sums, must also agree with the check it replaced, which
+tabulated the members per ``b`` and transposed the table, on every ideal
+and 300 seeded subsets of ``boolean(5)``, ``chain(2)^3`` and its unit
+extension;
 and ``ideal_closure`` must agree with the fixpoint loop on every seed
 of the algebras of size at most 5 and of the budget-5 extensions.  The
 short-circuit scan of ``smallest_normal_riesz_ideal`` must give the
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from typing import Iterator
 
 import pytest
@@ -92,6 +97,7 @@ from gpea import (
     is_unitizing,
     normal_riesz_ideals,
     power_gpea,
+    product,
     quotient,
     quotient_unitization,
     rdp_profile,
@@ -114,7 +120,7 @@ from gpea.ideals import (
 from gpea.kites import _candidate_maps
 from gpea.rdp import RdpProfile
 from gpea.verify import _unitized_pairs
-from test_table import ENUMERATED, raw_tables
+from test_table import ENUMERATED, raw_tables, verify_grid_kites
 
 # ---------------------------------------------------------------------------
 # Brute-force references, unchanged from the implementations they replaced
@@ -281,6 +287,45 @@ def brute_check_r2(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
     return True
 
 
+def transpose_check_r2(g: FiniteGpea, mask: int, inside: list[int]) -> bool:
+    """The two residual-compatibility clauses of a Riesz ideal.
+
+    Clause one: for ``i <= a``, whenever ``(a minus i) + b`` is defined some
+    member ``j <= b`` makes ``a + (j-to-b residual)`` defined.  Clause two:
+    whenever ``b + (i-to-a residual)`` is defined some member ``k <= b``
+    makes ``(b minus k) + a`` defined.  The "some member" side depends on
+    ``a`` and ``b`` only: it is tabulated per ``b`` as a bitmask of ``a``,
+    then transposed, so each ``(i, a)`` costs two mask tests.
+    """
+    n = g.size
+    left, right = g.subtraction_tables
+    down, up = g.order.down_masks, g.order.up_masks
+    after = [0] * n  # after[x]: the y with x + y defined
+    before = [0] * n  # before[y]: the x with x + y defined
+    for x, y, _ in g.sums:
+        after[x] |= 1 << y
+        before[y] |= 1 << x
+    works_one = [0] * n  # works_one[a]: the b where clause one finds a member
+    works_two = [0] * n
+    for b in range(n):
+        one = two = 0
+        for j in inside:
+            if down[b] >> j & 1:
+                one |= before[left[j * n + b]]
+                two |= after[right[j * n + b]]
+        for a in range(n):
+            works_one[a] |= (one >> a & 1) << b
+            works_two[a] |= (two >> a & 1) << b
+    for i in inside:
+        for a in range(n):
+            if up[i] >> a & 1 and (
+                after[right[i * n + a]] & ~works_one[a]
+                or before[left[i * n + a]] & ~works_two[a]
+            ):
+                return False
+    return True
+
+
 def fixpoint_ideal_closure(g: FiniteGpea, seed: int) -> int:
     """Least ideal (as bitmask) containing the seed bitmask."""
     down = g.order.down_masks
@@ -429,21 +474,6 @@ def test_ideal_closure_matches_the_fixpoint_loop():
             assert ideal_closure(g, seed) == fixpoint_ideal_closure(g, seed), (g, seed)
 
 
-def verify_grid_kites() -> list[tuple[str, KiteSpec]]:
-    """The buildable specs of ``verify``'s kite grid: chain(1) and chain(2)
-    bases, index sets of size 1-3, every bijection pair with the transfer
-    condition."""
-    out = []
-    for height in (1, 2):
-        for k in (1, 2, 3):
-            perms = list(itertools.permutations(range(k)))
-            for lam, rho in itertools.product(perms, repeat=2):
-                spec = KiteSpec(chain(height), k, lam, rho)
-                if check_kc(spec).kci:
-                    out.append((f"chain({height}):k={k}:lam={lam}:rho={rho}", spec))
-    return out
-
-
 KITES = verify_grid_kites()
 
 
@@ -483,6 +513,44 @@ def test_random_subsets(g, bits):
     inside = [x for x in range(g.size) if mask >> x & 1]
     assert _check_r1(g, mask, inside) == brute_check_r1(g, mask, inside)
     assert _check_r2(g, mask, inside) == brute_check_r2(g, mask, inside)
+
+
+def r2_subsets(g: FiniteGpea, count: int, seed: int) -> list[int]:
+    """Every ideal of ``g``, then ``count`` seeded subsets in turn: an
+    ideal with one element toggled, the union of two ideals, and a sparse
+    random subset (uniform ones almost never satisfy R2)."""
+    rng = random.Random(seed)
+    ideals = [sum(1 << x for x in members) for members in enumerate_ideals(g)]
+    out = list(ideals)
+    for k in range(count):
+        if k % 3 == 0:
+            out.append(rng.choice(ideals) ^ 1 << rng.randrange(g.size))
+        elif k % 3 == 1:
+            out.append(rng.choice(ideals) | rng.choice(ideals))
+        else:
+            out.append(sum(1 << x for x in range(g.size) if rng.random() < 0.2))
+    return out
+
+
+CHAIN2_CUBE = product(chain(2), product(chain(2), chain(2)))
+R2_ALGEBRAS = {
+    "boolean(5)": boolean(5),
+    "chain(2)^3": CHAIN2_CUBE,
+    "ext:chain(2)^3": gamma_unitize(CHAIN2_CUBE, tuple(range(27))).algebra,
+}
+
+
+@pytest.mark.parametrize("g", R2_ALGEBRAS.values(), ids=R2_ALGEBRAS.keys())
+def test_r2_matches_the_transposing_check(g):
+    """R2 read off the sums against the per-``b`` tabulation it replaced,
+    on every ideal and 300 seeded subsets, with both verdicts drawn."""
+    verdicts = set()
+    for mask in r2_subsets(g, 300, seed=g.size):
+        inside = [x for x in range(g.size) if mask >> x & 1]
+        verdict = _check_r2(g, mask, inside)
+        assert verdict == transpose_check_r2(g, mask, inside), inside
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,7 @@ from gpea import (
     product,
     standard_instances,
 )
-from test_kernels import verify_grid_kites
-from test_table import raw_tables
+from test_table import raw_tables, verify_grid_kites
 
 
 def grid_is_isomorphism(p: FiniteGpea, q: FiniteGpea, phi) -> bool:

@@ -5,23 +5,32 @@
 ``dict_validate_axioms`` is the axiom checker that read it, kept verbatim
 as the reference.  Verdicts, witnesses and every table accessor of
 ``FiniteGpea`` are compared against it on random raw tables, valid and
-invalid, and on every enumerated table of size at most 5 together with
-all of its one-cell edits.
+invalid, on every enumerated table of size at most 5 together with all
+of its one-cell edits, and on larger tables, where ``validate_axioms``
+decides most checks by counting, with a seeded sample of their one-cell
+edits: the 18 kites of ``verify``'s grid and three unit extensions of up
+to 54 elements.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
 from gpea import (
     FiniteGpea,
+    KiteSpec,
     NotValidatedError,
+    boolean,
+    build_kite,
     chain,
+    check_kc,
     enumerate_gpeas,
     fig1,
+    gamma_unitize,
     product,
     validate_axioms,
 )
@@ -185,6 +194,69 @@ def test_enumerated_tables_and_their_one_cell_edits(size):
         assert_matches_dict_layout(size, op)
         for edited in one_cell_edits(size, op):
             assert_matches_dict_layout(size, edited)
+
+
+def verify_grid_kites() -> list[tuple[str, KiteSpec]]:
+    """The buildable specs of ``verify``'s kite grid: chain(1) and chain(2)
+    bases, index sets of size 1-3, every bijection pair with the transfer
+    condition."""
+    out = []
+    for height in (1, 2):
+        for k in (1, 2, 3):
+            perms = list(itertools.permutations(range(k)))
+            for lam, rho in itertools.product(perms, repeat=2):
+                spec = KiteSpec(chain(height), k, lam, rho)
+                if check_kc(spec).kci:
+                    out.append((f"chain({height}):k={k}:lam={lam}:rho={rho}", spec))
+    return out
+
+
+def large_tables() -> list[tuple[str, FiniteGpea]]:
+    """The tables where counting, not scanning, decides most checks: the
+    18 grid kites, and the unit extensions of ``boolean(3)``,
+    ``product(fig1,chain(1))`` and ``chain(2)^3`` (54 elements)."""
+    out = [(label, build_kite(spec).algebra) for label, spec in verify_grid_kites()]
+    for label, base, gamma in (
+        ("boolean(3)", boolean(3), tuple(range(8))),
+        (
+            "product(fig1,chain(1))",
+            product(fig1(), chain(1)),
+            (0, 1, 4, 5, 2, 3, 6, 7, 10, 11, 8, 9),
+        ),
+        ("chain(2)^3", product(chain(2), product(chain(2), chain(2))), tuple(range(27))),
+    ):
+        out.append((f"ext:{label}", gamma_unitize(base, gamma).algebra))
+    return out
+
+
+def sampled_one_cell_edits(n: int, op: Op, count: int, seed: int) -> list[Op]:
+    """``count`` tables drawn from ``one_cell_edits(n, op)`` by a seeded
+    generator, without building them all."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        cell = (rng.randrange(n), rng.randrange(n))
+        value = rng.choice((None, *range(n)))
+        if op.get(cell) == value:
+            continue
+        edited = dict(op)
+        if value is None:
+            del edited[cell]
+        else:
+            edited[cell] = value
+        out.append(edited)
+    return out
+
+
+LARGE = large_tables()
+
+
+@pytest.mark.parametrize("g", [g for _, g in LARGE], ids=[label for label, _ in LARGE])
+def test_large_tables_and_a_sample_of_their_one_cell_edits(g):
+    op = op_of(g)
+    assert_matches_dict_layout(g.size, op)
+    for edited in sampled_one_cell_edits(g.size, op, 40, seed=g.size):
+        assert_matches_dict_layout(g.size, edited)
 
 
 SEEDS = ENUMERATED + [chain(5), fig1(), product(chain(1), chain(2))]
