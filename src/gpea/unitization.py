@@ -269,6 +269,8 @@ def _reject(diagnostics: str) -> Recognition:
 def recognize_unitization(u: FiniteGpea, p: Iterable[int]) -> Recognition:
     """Try to exhibit ``u`` as the unit extension of its subset ``p``.
 
+    A member of ``p`` outside the carrier raises
+    :class:`MalformedTableError`, whether or not ``u`` is unital.
     Rejections (soft, reported in ``diagnostics``): ``u`` is not unital;
     ``p`` is not a proper subset containing 0; the unit lies in ``p``;
     ``p`` is not closed under defined sums; two elements outside ``p``
@@ -302,12 +304,12 @@ def recognize_unitization(u: FiniteGpea, p: Iterable[int]) -> Recognition:
     :func:`gamma_unitize` still refuses a twist that is not unitizing.
     """
     u.require_validated()
-    if not u.flags.has_unit:
-        return _reject("carrier has no unit")
-    unit = u.pea.unit
     members = sorted(set(p))
     if any(not 0 <= x < u.size for x in members):
         raise MalformedTableError("subset members out of range")
+    if not u.flags.has_unit:
+        return _reject("carrier has no unit")
+    unit = u.pea.unit
     if 0 not in members:
         return _reject("base must contain 0")
     if unit in members:

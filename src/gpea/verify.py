@@ -16,13 +16,17 @@ failure count.
 
 Scopes group the statements by subject — ``unitization``, ``congruence``,
 ``kite``, ``rdp`` — and ``all`` runs every scope over one shared instance
-family.
+family.  The (base, twist) pairs are streamed: each unit extension is
+built once, passed through every wanted scope body and dropped before the
+next is built, so at most one extension, with its verdict store, is
+alive.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .catalog import ENUMERATION_LIMIT, chain, enumerate_gpeas, fig1, product
 from .core import (
@@ -168,6 +172,16 @@ class VerifyReport:
 # ------------------------------------------------------------------- instances
 
 
+def _check_budget(budget: int) -> None:
+    """Refuse a negative budget, or one the enumerator would refuse."""
+    if budget < 0:
+        raise MalformedTableError(f"budget must be at least 0, not {budget}")
+    if budget > ENUMERATION_LIMIT:
+        raise BudgetExceededError(
+            f"enumeration supports at most {ENUMERATION_LIMIT} elements"
+        )
+
+
 def standard_instances(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[tuple[str, FiniteGpea]]:
@@ -179,12 +193,7 @@ def standard_instances(
     to isomorphism, of size ``1 .. budget``; a negative budget, or one the
     enumerator would refuse, is refused before any size is enumerated.
     """
-    if budget < 0:
-        raise MalformedTableError(f"budget must be at least 0, not {budget}")
-    if budget > ENUMERATION_LIMIT:
-        raise BudgetExceededError(
-            f"enumeration supports at most {ENUMERATION_LIMIT} elements"
-        )
+    _check_budget(budget)
     out: list[tuple[str, FiniteGpea]] = [
         ("fig1", fig1()),
         ("chain1xchain2", product(chain(1), chain(2))),
@@ -208,27 +217,17 @@ class _Pair:
 
 def _unitized_pairs(
     instances: list[tuple[str, FiniteGpea]],
-) -> list[_Pair]:
-    pairs = []
+) -> Iterator[_Pair]:
+    """Each instance with each of its unitizing twists, in order, built
+    one at a time as the caller asks for it."""
     for label, g in instances:
         for j, gamma in enumerate(enumerate_unitizing(g)):
             try:
                 ua = gamma_unitize(g, gamma)
             except AlgebraError as exc:  # recorded, judged by the caller
-                pairs.append(_Pair(f"{label}:g{j}", g, gamma, None, str(exc)))
+                yield _Pair(f"{label}:g{j}", g, gamma, None, str(exc))
             else:
-                pairs.append(_Pair(f"{label}:g{j}", g, gamma, ua))
-    return pairs
-
-
-def _require_built(pairs: list[_Pair], scope: str) -> list[_Pair]:
-    broken = [p for p in pairs if p.extension is None]
-    if broken:
-        raise InvariantViolation(
-            f"{scope}: unit extension failed to build for "
-            + ", ".join(f"{p.label} ({p.error})" for p in broken)
-        )
-    return pairs
+                yield _Pair(f"{label}:g{j}", g, gamma, ua)
 
 
 def _subset_label(members) -> str:
@@ -242,8 +241,8 @@ def _relation_label(rel: Partition) -> str:
 # ---------------------------------------------------------- unitization scope
 
 
-def _verify_unitization(pairs: list[_Pair], tallies: _Tallies) -> None:
-    """Statements about the unit extension itself.
+def _verify_unitization(p: _Pair, tallies: _Tallies) -> None:
+    """Statements about the unit extension of one pair.
 
     * ``extension_construction`` — the extension builds: the mirror
       pasting passes the axioms (:class:`UnitizationAlgebra`).  Its
@@ -269,72 +268,161 @@ def _verify_unitization(pairs: list[_Pair], tallies: _Tallies) -> None:
     * ``two_valued_state_kernel`` — the extension carries a two-valued
       state whose kernel is exactly the base.
     """
-    for p in pairs:
-        tallies["extension_construction"].check(
-            f"{p.label}: {p.error}", p.extension is not None
-        )
-    for p in pairs:
-        ua = p.extension
-        if ua is None:
-            continue
-        riesz, upward = base_ideal_is_riesz_iff_upward(ua)
-        tallies["base_riesz_iff_upward"].check(
-            f"{p.label}: riesz={riesz} upward={upward}", riesz == upward
-        )
+    ua = p.extension
+    tallies["extension_construction"].check(f"{p.label}: {p.error}", ua is not None)
+    if ua is None:
+        return
+    riesz, upward = base_ideal_is_riesz_iff_upward(ua)
+    tallies["base_riesz_iff_upward"].check(
+        f"{p.label}: riesz={riesz} upward={upward}", riesz == upward
+    )
 
-        ok, offender = restriction_verdict(ua)
-        tallies["restriction_to_base"].check(
-            f"{p.label}: ideal {_subset_label(offender or ())} cuts badly", ok
-        )
+    ok, offender = restriction_verdict(ua)
+    tallies["restriction_to_base"].check(
+        f"{p.label}: ideal {_subset_label(offender or ())} cuts badly", ok
+    )
 
-        if ua.base.flags.upward_directed:
-            for name, include_improper in (
-                ("smallest_ideal_default", True),
-                ("smallest_ideal_proper", False),
-            ):
-                cmp = smallest_ideal_comparison(ua, include_improper=include_improper)
-                base_side = (
-                    "none"
-                    if cmp.base_smallest is None
-                    else _subset_label(cmp.base_smallest)
-                )
-                ext_side = (
-                    "none"
-                    if cmp.extension_smallest is None
-                    else _subset_label(cmp.extension_smallest)
-                )
-                tallies[name].check(
-                    f"{p.label}: base={base_side} extension={ext_side}", cmp.agree
-                )
+    if ua.base.flags.upward_directed:
+        for name, include_improper in (
+            ("smallest_ideal_default", True),
+            ("smallest_ideal_proper", False),
+        ):
+            cmp = smallest_ideal_comparison(ua, include_improper=include_improper)
+            base_side = (
+                "none"
+                if cmp.base_smallest is None
+                else _subset_label(cmp.base_smallest)
+            )
+            ext_side = (
+                "none"
+                if cmp.extension_smallest is None
+                else _subset_label(cmp.extension_smallest)
+            )
+            tallies[name].check(
+                f"{p.label}: base={base_side} extension={ext_side}", cmp.agree
+            )
 
-        rec = recognize_unitization(ua.algebra, ua.base_members)
-        ok = (
-            rec.recognized
-            and rec.gamma == ua.gamma
-            and rec.extension is not None
-            and rec.extension.algebra.same_table(ua.algebra)
-        )
-        tallies["recognition_roundtrip"].check(
-            f"{p.label}: {rec.diagnostics}", ok
-        )
+    rec = recognize_unitization(ua.algebra, ua.base_members)
+    ok = (
+        rec.recognized
+        and rec.gamma == ua.gamma
+        and rec.extension is not None
+        and rec.extension.algebra.same_table(ua.algebra)
+    )
+    tallies["recognition_roundtrip"].check(f"{p.label}: {rec.diagnostics}", ok)
 
-        base_set = frozenset(ua.base_members)
-        kernels = {s.kernel for s in two_valued_states(ua.algebra)}
-        tallies["two_valued_state_kernel"].check(
-            f"{p.label}: kernels={sorted(map(_subset_label, kernels))}",
-            base_set in kernels,
-        )
+    base_set = frozenset(ua.base_members)
+    kernels = {s.kernel for s in two_valued_states(ua.algebra)}
+    tallies["two_valued_state_kernel"].check(
+        f"{p.label}: kernels={sorted(map(_subset_label, kernels))}",
+        base_set in kernels,
+    )
 
 
 # ----------------------------------------------------------- congruence scope
 
 
-def _verify_congruence(
-    instances: list[tuple[str, FiniteGpea]],
-    pairs: list[_Pair],
-    tallies: _Tallies,
-) -> None:
-    """Statements about ideals, induced relations, lifts, and quotients.
+def _verify_congruence_base(label: str, g: FiniteGpea, tallies: _Tallies) -> None:
+    """Twist-free statements about the ideals, induced relations and
+    congruences of one instance, per subset, ideal or congruence:
+
+    * ``ideal_flag_implications`` — Riesz implies splitting; ideal
+      implies order ideal and subalgebra.
+    * ``normal_ideal_membership`` — membership in a normal ideal respects
+      peeling summands off defined sums and (on unital algebras) the
+      supplement maps.
+    * ``r1_ideal_relation`` — a normal splitting ideal induces an
+      equivalence that respects sums (C1, C2, C5′) and whose zero class
+      is the ideal.
+    * ``riesz_ideal_quotient`` — a normal Riesz ideal induces a relation
+      whose quotient is again a valid algebra.
+    * ``roundtrip_directed_classes`` — a congruence with C4 and C5′ is a
+      Riesz congruence iff all its classes are directed both ways; its
+      zero class then regenerates it.
+    * ``upward_r1_equals_riesz`` — on upward-directed instances the
+      splitting and Riesz verdicts coincide for every ideal.
+    * ``upward_ideal_riesz_congruence`` — on upward-directed instances
+      every normal Riesz ideal induces a Riesz congruence.
+    """
+    n = g.size
+    # By size, then sorted members: the ideals come in enumerate_ideals' order.
+    ideals = []
+    for members_tuple in itertools.chain.from_iterable(
+        itertools.combinations(range(1, n), r) for r in range(n)
+    ):
+        members = frozenset((0, *members_tuple))
+        flags = classify_subset(g, members)
+        ok = (
+            (not flags.riesz or flags.r1)
+            and (not flags.ideal or flags.order_ideal)
+            and (not flags.ideal or flags.sub_gpea)
+        )
+        tallies["ideal_flag_implications"].check(
+            f"{label}:S={_subset_label(members)}", ok
+        )
+        if flags.ideal:
+            ideals.append((members, flags))
+
+    for members, flags in ideals:
+        ilabel = f"{label}:I={_subset_label(members)}"
+        if flags.normal:
+            verdict = normal_ideal_lemmas(g, members)
+            tallies["normal_ideal_membership"].check(
+                f"{ilabel}: witness={verdict.witness}", verdict.passed
+            )
+        # The induced relation, or why there is none; a Riesz ideal has R1.
+        rel: Partition | NotEquivalenceError | None = None
+        if flags.normal and flags.r1:
+            try:
+                rel = sim_from_ideal(g, members)
+            except NotEquivalenceError as exc:
+                rel = exc
+                tallies["r1_ideal_relation"].check(f"{ilabel}: {exc}", False)
+            else:
+                rflags = classify_relation(g, rel)
+                ok = (
+                    rflags.c1
+                    and rflags.c2
+                    and rflags.c5prime
+                    and rel.block(0) == members
+                )
+                tallies["r1_ideal_relation"].check(
+                    f"{ilabel}: flags={rflags.items()}", ok
+                )
+        if flags.normal and flags.riesz:
+            try:
+                if isinstance(rel, NotEquivalenceError):
+                    raise rel
+                quotient(g, rel)
+            except AlgebraError as exc:
+                tallies["riesz_ideal_quotient"].check(f"{ilabel}: {exc}", False)
+            else:
+                tallies["riesz_ideal_quotient"].check(ilabel, True)
+        if g.flags.upward_directed:
+            if flags.ideal:
+                tallies["upward_r1_equals_riesz"].check(
+                    f"{ilabel}: r1={flags.r1} riesz={flags.riesz}",
+                    flags.r1 == flags.riesz,
+                )
+            if flags.normal and flags.riesz:
+                if isinstance(rel, NotEquivalenceError):
+                    raise rel
+                tallies["upward_ideal_riesz_congruence"].check(
+                    ilabel, classify_relation(g, rel).riesz_congruence
+                )
+
+    for rel in congruences(g):
+        rlabel = f"{label}:rel={_relation_label(rel)}"
+        rflags = classify_relation(g, rel)
+        if rflags.c4 and rflags.c5prime:
+            verdict = riesz_congruence_roundtrip(g, rel)
+            tallies["roundtrip_directed_classes"].check(
+                f"{rlabel}: {verdict.detail}", verdict.passed
+            )
+
+
+def _verify_congruence_pair(p: _Pair, tallies: _Tallies) -> None:
+    """Statements about lifts and quotients over one built pair.
 
     Joint checks per (base, twist, ideal) with the ideal normal,
     twist-closed and splitting (R1):
@@ -361,138 +449,38 @@ def _verify_congruence(
     * ``quotient_extension_commutes`` — for twist-compatible congruences
       with C4 and C5′: extending the quotient equals quotienting the
       extension, via a unit-preserving isomorphism fixing the quotient.
-
-    Per (base, subset/ideal/congruence), twist-free:
-
-    * ``ideal_flag_implications`` — Riesz implies splitting; ideal
-      implies order ideal and subalgebra.
-    * ``normal_ideal_membership`` — membership in a normal ideal respects
-      peeling summands off defined sums and (on unital algebras) the
-      supplement maps.
-    * ``r1_ideal_relation`` — a normal splitting ideal induces an
-      equivalence that respects sums (C1, C2, C5′) and whose zero class
-      is the ideal.
-    * ``riesz_ideal_quotient`` — a normal Riesz ideal induces a relation
-      whose quotient is again a valid algebra.
-    * ``roundtrip_directed_classes`` — a congruence with C4 and C5′ is a
-      Riesz congruence iff all its classes are directed both ways; its
-      zero class then regenerates it.
-    * ``upward_r1_equals_riesz`` — on upward-directed instances the
-      splitting and Riesz verdicts coincide for every ideal.
-    * ``upward_ideal_riesz_congruence`` — on upward-directed instances
-      every normal Riesz ideal induces a Riesz congruence.
     """
-    for label, g in instances:
-        n = g.size
-        # By size, then sorted members: the ideals come in enumerate_ideals' order.
-        ideals = []
-        for members_tuple in itertools.chain.from_iterable(
-            itertools.combinations(range(1, n), r) for r in range(n)
+    ua, g, gamma = p.extension, p.base, p.gamma
+    for members in enumerate_ideals(g):
+        flags = classify_subset(g, members, gamma)
+        if not (flags.ideal and flags.normal and flags.r1 and flags.gamma_closed):
+            continue
+        report = congruence_suite(ua, members)
+        ilabel = f"{p.label}:I={_subset_label(members)}"
+        tallies["lifting_equivalences"].check(
+            f"{ilabel}: {report.detail}", report.equivalent
+        )
+        for name, value in (
+            ("supplement_compatibility", report.supplement_lemma),
+            ("padded_sum_variants", report.forms_agree),
+            ("riesz_lift_triangle", report.gcr_triangle),
+            ("lift_matches_induced", report.induced_matches_lift),
+            ("upward_base_suite", report.upward_all),
         ):
-            members = frozenset((0, *members_tuple))
-            flags = classify_subset(g, members)
-            ok = (
-                (not flags.riesz or flags.r1)
-                and (not flags.ideal or flags.order_ideal)
-                and (not flags.ideal or flags.sub_gpea)
-            )
-            tallies["ideal_flag_implications"].check(
-                f"{label}:S={_subset_label(members)}", ok
-            )
-            if flags.ideal:
-                ideals.append((members, flags))
+            if value is not None:
+                tallies[name].check(f"{ilabel}: {report.detail}", value)
 
-        for members, flags in ideals:
-            ilabel = f"{label}:I={_subset_label(members)}"
-            if flags.normal:
-                verdict = normal_ideal_lemmas(g, members)
-                tallies["normal_ideal_membership"].check(
-                    f"{ilabel}: witness={verdict.witness}", verdict.passed
-                )
-            # The induced relation, or why there is none; a Riesz ideal has R1.
-            rel: Partition | NotEquivalenceError | None = None
-            if flags.normal and flags.r1:
-                try:
-                    rel = sim_from_ideal(g, members)
-                except NotEquivalenceError as exc:
-                    rel = exc
-                    tallies["r1_ideal_relation"].check(f"{ilabel}: {exc}", False)
-                else:
-                    rflags = classify_relation(g, rel)
-                    ok = (
-                        rflags.c1
-                        and rflags.c2
-                        and rflags.c5prime
-                        and rel.block(0) == members
-                    )
-                    tallies["r1_ideal_relation"].check(
-                        f"{ilabel}: flags={rflags.items()}", ok
-                    )
-            if flags.normal and flags.riesz:
-                try:
-                    if isinstance(rel, NotEquivalenceError):
-                        raise rel
-                    quotient(g, rel)
-                except AlgebraError as exc:
-                    tallies["riesz_ideal_quotient"].check(f"{ilabel}: {exc}", False)
-                else:
-                    tallies["riesz_ideal_quotient"].check(ilabel, True)
-            if g.flags.upward_directed:
-                if flags.ideal:
-                    tallies["upward_r1_equals_riesz"].check(
-                        f"{ilabel}: r1={flags.r1} riesz={flags.riesz}",
-                        flags.r1 == flags.riesz,
-                    )
-                if flags.normal and flags.riesz:
-                    if isinstance(rel, NotEquivalenceError):
-                        raise rel
-                    tallies["upward_ideal_riesz_congruence"].check(
-                        ilabel, classify_relation(g, rel).riesz_congruence
-                    )
-
-        for rel in congruences(g):
-            rlabel = f"{label}:rel={_relation_label(rel)}"
-            rflags = classify_relation(g, rel)
-            if rflags.c4 and rflags.c5prime:
-                verdict = riesz_congruence_roundtrip(g, rel)
-                tallies["roundtrip_directed_classes"].check(
-                    f"{rlabel}: {verdict.detail}", verdict.passed
-                )
-
-    for p in pairs:
-        ua = p.extension
-        assert ua is not None  # _require_built ran
-        g, gamma = p.base, p.gamma
-        for members in enumerate_ideals(g):
-            flags = classify_subset(g, members, gamma)
-            if not (flags.ideal and flags.normal and flags.r1 and flags.gamma_closed):
-                continue
-            report = congruence_suite(ua, members)
-            ilabel = f"{p.label}:I={_subset_label(members)}"
-            tallies["lifting_equivalences"].check(
-                f"{ilabel}: {report.detail}", report.equivalent
+    for rel in congruences(g):
+        rlabel = f"{p.label}:rel={_relation_label(rel)}"
+        tallies["lift_congruence_biconditional"].check(
+            rlabel, lift_congruence_biconditional(ua, rel)
+        )
+        rflags = classify_relation(g, rel, gamma=gamma)
+        if bool(rflags.gamma_congruence) and rflags.c4 and rflags.c5prime:
+            verdict = quotient_unitization(ua, rel)
+            tallies["quotient_extension_commutes"].check(
+                f"{rlabel}: {verdict.detail}", verdict.passed
             )
-            for name, value in (
-                ("supplement_compatibility", report.supplement_lemma),
-                ("padded_sum_variants", report.forms_agree),
-                ("riesz_lift_triangle", report.gcr_triangle),
-                ("lift_matches_induced", report.induced_matches_lift),
-                ("upward_base_suite", report.upward_all),
-            ):
-                if value is not None:
-                    tallies[name].check(f"{ilabel}: {report.detail}", value)
-
-        for rel in congruences(g):
-            rlabel = f"{p.label}:rel={_relation_label(rel)}"
-            tallies["lift_congruence_biconditional"].check(
-                rlabel, lift_congruence_biconditional(ua, rel)
-            )
-            rflags = classify_relation(g, rel, gamma=gamma)
-            if bool(rflags.gamma_congruence) and rflags.c4 and rflags.c5prime:
-                verdict = quotient_unitization(ua, rel)
-                tallies["quotient_extension_commutes"].check(
-                    f"{rlabel}: {verdict.detail}", verdict.passed
-                )
 
 
 # ------------------------------------------------------------------ kite scope
@@ -620,72 +608,71 @@ def _component_problem(spec: KiteSpec, orbits: tuple[frozenset[int], ...]) -> st
 # ------------------------------------------------------------------- rdp scope
 
 
-def _verify_rdp(
-    instances: list[tuple[str, FiniteGpea]],
-    pairs: list[_Pair],
-    tallies: _Tallies,
-    notes: list[str],
+def _verify_rdp_base(
+    label: str, g: FiniteGpea, tallies: _Tallies, profiles: dict
 ) -> None:
-    """Statements about the refinement properties.
+    """Statements about the refinement properties of one instance, whose
+    profile is kept in ``profiles`` under ``label`` for its pairs.
 
     * ``refinement_implies_splitting`` — on every instance, the
       refinement-matrix property implies the splitting property (an
       element under a sum splits under its summands).
+    * ``upward_rdp_ideals_r1`` — on upward-directed instances with the
+      refinement-matrix property, every ideal has the splitting
+      property.
+    """
+    profile = rdp_profile(g)
+    profiles[label] = profile
+    tallies["refinement_implies_splitting"].check(
+        f"{label}: rdp={profile.rdp} rdp0={profile.rdp0}",
+        not (profile.rdp and not profile.rdp0),
+    )
+    if g.flags.upward_directed and profile.rdp:
+        for members in enumerate_ideals(g):
+            flags = classify_subset(g, members)
+            tallies["upward_rdp_ideals_r1"].check(
+                f"{label}:I={_subset_label(members)}", flags.r1
+            )
+
+
+def _verify_rdp_pair(
+    p: _Pair, profiles: dict, tallies: _Tallies, notes: list[str]
+) -> None:
+    """Refinement across one built pair.
+
     * ``rdp_transfer_total`` — on every total instance and every twist,
       all four refinement verdicts of the base and its unit extension
       coincide.  (The only total finite instance is the one-element
       algebra: any maximal element m of a total algebra has m + m = m,
       hence m = 0 by cancellation.)
-    * ``upward_rdp_ideals_r1`` — on upward-directed instances with the
-      refinement-matrix property, every ideal has the splitting
-      property.
 
     Pairs outside the transfer statement's totality hypothesis where the
     base and extension profiles nevertheless differ are reported as
     notes: evidence that the hypothesis is needed.
     """
-    profiles = {}
-    for label, g in instances:
-        profile = rdp_profile(g)
-        profiles[label] = profile
-        tallies["refinement_implies_splitting"].check(
-            f"{label}: rdp={profile.rdp} rdp0={profile.rdp0}",
-            not (profile.rdp and not profile.rdp0),
-        )
-        if g.flags.upward_directed and profile.rdp:
-            for members in enumerate_ideals(g):
-                flags = classify_subset(g, members)
-                tallies["upward_rdp_ideals_r1"].check(
-                    f"{label}:I={_subset_label(members)}", flags.r1
-                )
-
-    for p in pairs:
-        ua = p.extension
-        assert ua is not None
-        base_label = p.label.rsplit(":", 1)[0]
-        if p.base.flags.total:
-            try:
-                report = rdp_transfer(p.base, p.gamma)
-            except AlgebraError as exc:
-                tallies["rdp_transfer_total"].check(f"{p.label}: {exc}", False)
-            else:
-                tallies["rdp_transfer_total"].check(p.label, report.agree)
+    if p.base.flags.total:
+        try:
+            report = rdp_transfer(p.base, p.gamma)
+        except AlgebraError as exc:
+            tallies["rdp_transfer_total"].check(f"{p.label}: {exc}", False)
         else:
-            base_profile = profiles[base_label]
-            ext_profile = rdp_profile(ua.algebra)
-            if (base_profile.rdp0, base_profile.rdp, base_profile.rdp1, base_profile.rdp2) != (
-                ext_profile.rdp0,
-                ext_profile.rdp,
-                ext_profile.rdp1,
-                ext_profile.rdp2,
-            ):
-                notes.append(
-                    f"non-total {p.label}: refinement profiles diverge "
-                    f"(base rdp0={base_profile.rdp0} rdp={base_profile.rdp} "
-                    f"rdp1={base_profile.rdp1} rdp2={base_profile.rdp2}; "
-                    f"extension rdp0={ext_profile.rdp0} rdp={ext_profile.rdp} "
-                    f"rdp1={ext_profile.rdp1} rdp2={ext_profile.rdp2})"
-                )
+            tallies["rdp_transfer_total"].check(p.label, report.agree)
+        return
+    base_profile = profiles[p.label.rsplit(":", 1)[0]]
+    ext_profile = rdp_profile(p.extension.algebra)
+    if (base_profile.rdp0, base_profile.rdp, base_profile.rdp1, base_profile.rdp2) != (
+        ext_profile.rdp0,
+        ext_profile.rdp,
+        ext_profile.rdp1,
+        ext_profile.rdp2,
+    ):
+        notes.append(
+            f"non-total {p.label}: refinement profiles diverge "
+            f"(base rdp0={base_profile.rdp0} rdp={base_profile.rdp} "
+            f"rdp1={base_profile.rdp1} rdp2={base_profile.rdp2}; "
+            f"extension rdp0={ext_profile.rdp0} rdp={ext_profile.rdp} "
+            f"rdp1={ext_profile.rdp1} rdp2={ext_profile.rdp2})"
+        )
 
 
 # ------------------------------------------------------------------ entrypoint
@@ -699,20 +686,32 @@ def run_verify(
         raise ValueError(f"unknown scope {scope!r}; use 'all' or one of {SCOPES}")
     wanted = SCOPES if scope == "all" else (scope,)
 
+    _check_budget(budget)
+
     tallies = _Tallies()
     notes: list[str] = []
-    needs_instances = {"unitization", "congruence", "rdp"} & set(wanted)
-    instances = standard_instances(budget) if needs_instances else []
-    pairs = _unitized_pairs(instances) if needs_instances else []
-
-    if "unitization" in wanted:
-        _verify_unitization(pairs, tallies)
-    if "congruence" in wanted:
-        _verify_congruence(instances, _require_built(pairs, "congruence"), tallies)
     if "kite" in wanted:
         _verify_kite(tallies)
-    if "rdp" in wanted:
-        _verify_rdp(instances, _require_built(pairs, "rdp"), tallies, notes)
+    if {"unitization", "congruence", "rdp"} & set(wanted):
+        instances = standard_instances(budget)
+        profiles: dict = {}
+        for label, g in instances:
+            if "congruence" in wanted:
+                _verify_congruence_base(label, g, tallies)
+            if "rdp" in wanted:
+                _verify_rdp_base(label, g, tallies, profiles)
+        # One pair, hence one unit extension and its store, alive at a time.
+        for p in _unitized_pairs(instances):
+            if "unitization" in wanted:
+                _verify_unitization(p, tallies)
+            if p.extension is None and {"congruence", "rdp"} & set(wanted):
+                raise InvariantViolation(
+                    f"unit extension failed to build for {p.label} ({p.error})"
+                )
+            if "congruence" in wanted:
+                _verify_congruence_pair(p, tallies)
+            if "rdp" in wanted:
+                _verify_rdp_pair(p, profiles, tallies, notes)
 
     results = tuple(
         tallies[name].result(name) for name in sorted(tallies)

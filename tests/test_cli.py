@@ -498,10 +498,30 @@ def test_verify_refuses_an_over_limit_budget_before_enumerating(capsys, monkeypa
     assert code == 2 and out == ""
     assert err == "error: enumeration supports at most 7 elements\n"
     assert searches == []
-    # The kite scope enumerates nothing, so the budget does not bound it.
-    code, out, _ = invoke(capsys, ["verify", "kite", "--budget", "8"])
+    # The kite scope enumerates nothing, even at the largest budget.
+    code, out, _ = invoke(capsys, ["verify", "kite", "--budget", "7"])
     assert code == 0
-    assert out.splitlines()[0] == "VERIFY scope=kite budget=8"
+    assert out.splitlines()[0] == "VERIFY scope=kite budget=7"
+    assert searches == []
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ("99", "enumeration supports at most 7 elements"),
+        ("-1", "budget must be at least 0, not -1"),
+    ],
+)
+def test_verify_kite_refuses_a_budget_the_other_scopes_refuse(
+    capsys, monkeypatch, budget, message
+):
+    """The kite scope enumerates nothing, yet echoes its budget: one that
+    no other scope would run is refused, without enumerating."""
+    searches = []
+    monkeypatch.setattr(gpea.catalog, "_search_tables", searches.append)
+    code, out, err = invoke(capsys, ["verify", "kite", "--budget", budget])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
     assert searches == []
 
 

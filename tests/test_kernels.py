@@ -1105,7 +1105,7 @@ def test_walk_matches_the_filter_on_eight_element_algebras():
         assert _partition_walk(g) == filter_partition_walk(g), g.table_key()
 
 
-BUDGET_FIVE_PAIRS = _unitized_pairs(standard_instances(5))
+BUDGET_FIVE_PAIRS = list(_unitized_pairs(standard_instances(5)))
 
 
 def rebuild_quotient_unitization(

@@ -164,7 +164,7 @@ def test_enumerated_algebras(size):
             assert_store_matches(g, store_calls(g, list(all_partitions(size))))
 
 
-BUDGET_FOUR_PAIRS = _unitized_pairs(standard_instances(4))
+BUDGET_FOUR_PAIRS = list(_unitized_pairs(standard_instances(4)))
 
 
 @pytest.mark.parametrize(

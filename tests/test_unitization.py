@@ -222,6 +222,14 @@ def test_recognition_soft_rejections(fig1_algebra):
     assert not recognize_unitization(ua.algebra, {1, 2, 3, 4, 5, 6}).recognized
 
 
+@pytest.mark.parametrize("carrier", [fig1, lambda: boolean(2)], ids=["fig1", "boolean2"])
+def test_recognition_refuses_an_out_of_range_member_with_or_without_unit(carrier):
+    """The range check comes before every soft clause: ``fig1`` has no
+    unit and ``boolean(2)`` has one, and both refuse member 99."""
+    with pytest.raises(MalformedTableError, match="subset members out of range"):
+        recognize_unitization(carrier(), [0, 99])
+
+
 def passes_soft_clauses(u, members: frozenset[int]) -> bool:
     """The clauses ``recognize_unitization`` rejects softly, on a unital
     ``u``."""

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import re
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import gpea.verify
 from gpea import (
+    AlgebraError,
+    BudgetExceededError,
+    InvariantViolation,
+    MalformedTableError,
     NotEquivalenceError,
     all_partitions,
     chain,
@@ -20,6 +27,7 @@ from gpea import (
 from gpea.verify import (
     DEFAULT_ENUMERATION_BUDGET,
     SCOPES,
+    VerifyReport,
     run_verify,
     standard_instances,
 )
@@ -88,6 +96,19 @@ def test_default_budget_is_five():
 def test_rejects_unknown_scope():
     with pytest.raises(ValueError, match="unknown scope"):
         run_verify("everything", BUDGET)
+
+
+@pytest.mark.parametrize("scope", ["all", *SCOPES])
+def test_every_scope_refuses_a_bad_budget_before_any_scope_runs(monkeypatch, scope):
+    """The kite scope enumerates nothing, but a budget the instance family
+    would refuse is refused for it too, before the kite battery runs."""
+    monkeypatch.setattr(
+        gpea.verify, "_verify_kite", lambda tallies: pytest.fail("kite scope ran")
+    )
+    with pytest.raises(BudgetExceededError, match="at most 7 elements"):
+        run_verify(scope, 99)
+    with pytest.raises(MalformedTableError, match="at least 0, not -1"):
+        run_verify(scope, -1)
 
 
 def test_full_run_reports_every_statement_sorted(budget2_report):
@@ -369,3 +390,83 @@ def test_a_relabelled_family_gives_the_same_report(monkeypatch, scope, budget):
         assert {carry(w) for w in before.witnesses} == set(after.witnesses), before.name
     assert {carry(note) for note in plain.notes} == set(report.notes)
     assert any(p != tuple(range(len(p))) for p in perms.values())
+
+
+# ------------------------------------------------------------ streamed pairs
+
+
+SWAP_OF_FIG1 = (0, 2, 1, 3, 5, 4)  # the twist of the pair fig1:g1
+
+
+@pytest.fixture
+def broken_build(monkeypatch):
+    """``gamma_unitize`` refusing the pair ``fig1:g1`` and no other."""
+    build = gpea.verify.gamma_unitize
+
+    def refusing(g, gamma):
+        if gamma == SWAP_OF_FIG1:
+            raise AlgebraError("refused on purpose")
+        return build(g, gamma)
+
+    monkeypatch.setattr(gpea.verify, "gamma_unitize", refusing)
+
+
+def test_unitization_scope_counts_a_broken_build(broken_build):
+    by_name = {r.name: r for r in run_verify("unitization", 3).results}
+    result = by_name["extension_construction"]
+    assert (result.instances, result.failures) == (8, 1)
+    assert result.witnesses == ("fig1:g1: refused on purpose",)
+    assert by_name["two_valued_state_kernel"].instances == 7
+
+
+@pytest.mark.parametrize("scope", ["congruence", "rdp", "all"])
+def test_a_broken_build_is_refused_where_every_extension_is_needed(
+    broken_build, scope
+):
+    message = "unit extension failed to build for fig1:g1 (refused on purpose)"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        run_verify(scope, 3)
+
+
+@pytest.mark.parametrize("scope", ["all", *SCOPES])
+def test_at_most_one_unit_extension_is_alive_at_a_time(monkeypatch, scope):
+    """Each pair is dropped before the next is built: before every build,
+    at most the previous extension is still reachable."""
+    build = gpea.verify.gamma_unitize
+    built: list[weakref.ref] = []
+    alive: list[int] = []
+
+    def recording(g, gamma):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in built))
+        ua = build(g, gamma)
+        built.append(weakref.ref(ua))
+        return ua
+
+    monkeypatch.setattr(gpea.verify, "gamma_unitize", recording)
+    run_verify(scope, 4)
+    assert len(built) == (0 if scope == "kite" else 18)
+    assert max(alive, default=0) <= 1
+
+
+def merged_scopes(budget: int) -> VerifyReport:
+    """The four single-scope reports at ``budget`` merged into one."""
+    reports = [run_verify(scope, budget) for scope in SCOPES]
+    results = sorted((r for rep in reports for r in rep.results), key=lambda r: r.name)
+    notes = sorted(note for rep in reports for note in rep.notes)
+    return VerifyReport("all", budget, tuple(results), tuple(notes))
+
+
+@pytest.mark.parametrize("budget", [4, 5])
+def test_single_scope_reports_merge_into_the_all_report(budget):
+    assert merged_scopes(budget) == run_verify("all", budget)
+
+
+def test_single_scope_reports_merge_into_the_golden_all_report_at_budget_six():
+    merged = merged_scopes(6)
+    text = "".join(
+        line + "\n"
+        for line in ["VERIFY scope=all budget=6", *merged.detail_lines(), *merged.lines()]
+    )
+    golden = Path(__file__).parent / "golden" / "verify-all-budget-6.txt"
+    assert text == golden.read_text(encoding="utf-8")
