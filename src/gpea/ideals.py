@@ -28,6 +28,7 @@ through the same accessor :func:`_stored` (see :mod:`gpea.kites`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
@@ -103,6 +104,7 @@ def _subset_mask(g: FiniteGpea, members: Iterable[int]) -> int:
 
 
 _T = TypeVar("_T")
+_V = TypeVar("_V")
 
 
 def _stored(g: FiniteGpea, key: tuple, compute: Callable[[], _T]) -> _T:
@@ -433,10 +435,10 @@ class CongruenceFlags:
         ]
 
 
-def _block_map(pairs: Iterable[tuple[_T, int]]) -> dict[_T, int] | None:
+def _block_map(pairs: Iterable[tuple[_T, _V]]) -> dict[_T, _V] | None:
     """The map ``key -> value`` the pairs spell out, or ``None`` when a key
     meets two values: whether a relation respects a map, on block labels."""
-    out: dict[_T, int] = {}
+    out: dict[_T, _V] = {}
     for key, value in pairs:
         if out.setdefault(key, value) != value:
             return None
@@ -449,19 +451,24 @@ def _block_sums(g: FiniteGpea, bl: Sequence[int]) -> dict[tuple[int, int], int] 
     return _block_map(((bl[a], bl[b]), bl[s]) for a, b, s in g.sums)
 
 
-def _check_c3(g: FiniteGpea, rel: Partition) -> bool:
-    bl = rel.block_of
-    n = g.size
-    table = g.table
-    defined_pairs = {(bl[a], bl[b]) for a, b, _ in g.sums}
-    for ba, bb in defined_pairs:
-        for a1 in rel.blocks[ba]:
-            if not any(bl[b1] == bb and table[a1 * n + b1] != n for b1 in range(n)):
-                return False
-        for b2 in rel.blocks[bb]:
-            if not any(bl[a2] == ba and table[a2 * n + b2] != n for a2 in range(n)):
-                return False
-    return True
+def _check_c3(g: FiniteGpea, bl: Sequence[int]) -> bool:
+    """C3 on block labels: ``rows[x]``, the blocks of the ``y`` with
+    ``x + y`` defined, and ``cols[y]``, those of the ``x``, are constant
+    on blocks.
+
+    C3 asks that when some ``a + b`` is defined, every member of ``[a]``
+    has a defined sum with some member of ``[b]``, and every member of
+    ``[b]`` with some member of ``[a]``.  The blocks that a member of
+    ``[a]`` must so meet are the union of ``rows`` over ``[a]``, so every
+    member meets them all iff ``rows`` is constant on the block; the same
+    holds for ``cols``.
+    """
+    rows = [0] * g.size
+    cols = [0] * g.size
+    for x, y, _ in g.sums:
+        rows[x] |= 1 << bl[y]
+        cols[y] |= 1 << bl[x]
+    return _block_map((bl[x], (rows[x], cols[x])) for x in g.elements) is not None
 
 
 def _check_c4(g: FiniteGpea, rel: Partition) -> bool:
@@ -505,52 +512,50 @@ def _check_c4prime(g: FiniteGpea, rel: Partition) -> bool:
 
 
 def _check_c5prime(g: FiniteGpea, rel: Partition) -> bool:
+    """C5′ as a block map: each element's set of summand-block pairs
+    ``{([u], [v]) : u + v = a}`` is constant on blocks.
+
+    C5′ asks that whenever ``b + c`` is defined, every ``a`` related to
+    it is a sum of members of ``[b]`` and ``[c]``: the pairs of ``b + c``
+    lie among those of ``a``.  Read both ways round, related elements
+    have the same pairs.  Every block is reached, because ``s = s + 0``.
+    The pairs are bits ``[u] * n + [v]`` of one mask.
+    """
     bl = rel.block_of
-    decomps: list[set[tuple[int, int]]] = [set() for _ in range(g.size)]
+    n = g.size
+    pairs = [0] * n
     for u, v, s in g.sums:
-        decomps[s].add((bl[u], bl[v]))
-    needed: set[tuple[int, int, int]] = set()
-    for b, c, s in g.sums:
-        for a in rel.blocks[bl[s]]:
-            needed.add((a, bl[b], bl[c]))
-    return all((ba, bc) in decomps[a] for (a, ba, bc) in needed)
+        pairs[s] |= 1 << (bl[u] * n + bl[v])
+    return _block_map((bl[a], pairs[a]) for a in g.elements) is not None
 
 
 def _check_cr(g: FiniteGpea, rel: Partition) -> bool:
+    """CR on per-element masks: related ``a`` and ``b`` share a lower
+    bound ``c`` and an upper bound ``d`` whose differences ``a - c``,
+    ``b - c``, ``d - a`` and ``d - b`` (right subtraction) lie in the
+    zero class.
+
+    On a validated table ``c <= a`` iff some sum ``(x, c, a)`` exists,
+    and ``x`` is then the right subtraction of ``c`` from ``a``.  So one
+    pass over the sums ``(x, c, s)`` with ``x`` in the zero class fills
+    ``lo[s]``, the ``c`` below ``s`` with a zero-class difference, and
+    ``hi[c]``, the ``s`` above ``c`` with one; the lower and upper bounds
+    are chosen independently, so CR holds iff ``lo[a] & lo[b]`` and
+    ``hi[a] & hi[b]`` are both nonzero for all related ``a`` and ``b``.
+    """
     bl = rel.block_of
     zero = bl[0]
-    up = g.order.up_masks
-    down = g.order.down_masks
-    n = g.size
-    for block in rel.blocks:
-        for a in block:
-            for b in block:
-                if a > b:
-                    continue
-                ok = False
-                lows = down[a] & down[b]
-                highs = up[a] & up[b]
-                for c in range(n):
-                    if not lows >> c & 1:
-                        continue
-                    if bl[g.right_subtraction(c, a)] != zero:
-                        continue
-                    if bl[g.right_subtraction(c, b)] != zero:
-                        continue
-                    for d in range(n):
-                        if not highs >> d & 1:
-                            continue
-                        if (
-                            bl[g.right_subtraction(a, d)] == zero
-                            and bl[g.right_subtraction(b, d)] == zero
-                        ):
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if not ok:
-                    return False
-    return True
+    lo = [0] * g.size
+    hi = [0] * g.size
+    for x, c, s in g.sums:
+        if bl[x] == zero:
+            lo[s] |= 1 << c
+            hi[c] |= 1 << s
+    return all(
+        lo[a] & lo[b] and hi[a] & hi[b]
+        for block in rel.blocks
+        for a, b in combinations(block, 2)
+    )
 
 
 def gcr_condition(
@@ -569,25 +574,18 @@ def gcr_condition(
     if form not in (1, 2):
         raise MalformedTableError(f"form must be 1 or 2, not {form!r}")
     mask = _subset_mask(g, ideal_members)
-    n = g.size
-    table = g.table
-    inside = [x for x in range(n) if mask >> x & 1]
-
-    def padded(x: int) -> set[int]:
-        """The defined sums ``i + x`` (form 1) or ``x + i`` (form 2), i a member."""
-        if form == 1:
-            out = {table[i * n + x] for i in inside}
-        else:
-            out = {table[x * n + i] for i in inside}
-        out.discard(n)
-        return out
-
-    for block in rel.blocks:
-        for a in block:
-            for b in block:
-                if a < b and not padded(a) & padded(b):
-                    return False
-    return True
+    # padded[x]: the defined sums i + x (form 1) or x + i (form 2), i a member
+    padded = [0] * g.size
+    for x, y, s in g.sums:
+        member, other = (x, y) if form == 1 else (y, x)
+        if mask >> member & 1:
+            padded[other] |= 1 << s
+    # distinct pairs only: a member set without 0 can leave padded[a] empty
+    return all(
+        padded[a] & padded[b]
+        for block in rel.blocks
+        for a, b in combinations(block, 2)
+    )
 
 
 def _block_twist(rel: Partition, gamma: Sequence[int]) -> dict[int, int] | None:
@@ -635,7 +633,7 @@ def _relation_flags(g: FiniteGpea, rel: Partition) -> CongruenceFlags:
     return CongruenceFlags(
         c1=True,  # partitions are equivalences by construction
         c2=_block_sums(g, rel.block_of) is not None,
-        c3=_check_c3(g, rel),
+        c3=_check_c3(g, rel.block_of),
         c4=_check_c4(g, rel),
         c5=_check_c5(g, rel),
         c4prime=_check_c4prime(g, rel) if g.flags.has_unit else None,
@@ -931,8 +929,9 @@ def _partition_walk(g: FiniteGpea) -> tuple[Partition, ...]:
     the block map ``(label a, label b) -> label(a + b)`` to be a map, so
     the walk keeps that map for the labelled prefix, undoes it on
     backtrack and cuts a prefix at its first conflict, since every string
-    extending it breaks C2 too.  A ``Partition`` is built, and C3 tested,
-    only on the complete labellings that pass C2.
+    extending it breaks C2 too.  C3 is tested on the labels of each
+    complete labelling that passes C2, and a ``Partition`` is built only
+    for a congruence.
     """
     n = g.size
     closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -946,9 +945,8 @@ def _partition_walk(g: FiniteGpea) -> tuple[Partition, ...]:
 
     def extend(i: int, top: int) -> None:
         if i == n:
-            rel = Partition.from_block_of(labels)
-            if _check_c3(g, rel):
-                found.append(rel)
+            if _check_c3(g, labels):
+                found.append(Partition.from_block_of(labels))
             return
         for lab in range(top + 2):
             labels[i] = lab

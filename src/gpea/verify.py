@@ -49,7 +49,7 @@ from .ideals import (
     sim_from_ideal,
 )
 from .kites import KiteSpec, _orbits, _power, check_kc, kite_gamma, kite_iso
-from .rdp import rdp_profile, rdp_transfer
+from .rdp import TransferReport, rdp_profile
 from .unitization import (
     UnitizationAlgebra,
     base_ideal_is_riesz_iff_upward,
@@ -650,28 +650,23 @@ def _verify_rdp_pair(
     base and extension profiles nevertheless differ are reported as
     notes: evidence that the hypothesis is needed.
     """
+    report = TransferReport(
+        profiles[p.label.rsplit(":", 1)[0]], rdp_profile(p.extension.algebra)
+    )
+    base, ext = report.base_profile, report.extension_profile
     if p.base.flags.total:
-        try:
-            report = rdp_transfer(p.base, p.gamma)
-        except AlgebraError as exc:
-            tallies["rdp_transfer_total"].check(f"{p.label}: {exc}", False)
-        else:
-            tallies["rdp_transfer_total"].check(p.label, report.agree)
-        return
-    base_profile = profiles[p.label.rsplit(":", 1)[0]]
-    ext_profile = rdp_profile(p.extension.algebra)
-    if (base_profile.rdp0, base_profile.rdp, base_profile.rdp1, base_profile.rdp2) != (
-        ext_profile.rdp0,
-        ext_profile.rdp,
-        ext_profile.rdp1,
-        ext_profile.rdp2,
-    ):
+        tallies["rdp_transfer_total"].check(
+            f"{p.label}: decomposition verdicts differ between base and "
+            f"extension: base {base.lines()} extension {ext.lines()}",
+            report.agree,
+        )
+    elif not report.agree:
         notes.append(
             f"non-total {p.label}: refinement profiles diverge "
-            f"(base rdp0={base_profile.rdp0} rdp={base_profile.rdp} "
-            f"rdp1={base_profile.rdp1} rdp2={base_profile.rdp2}; "
-            f"extension rdp0={ext_profile.rdp0} rdp={ext_profile.rdp} "
-            f"rdp1={ext_profile.rdp1} rdp2={ext_profile.rdp2})"
+            f"(base rdp0={base.rdp0} rdp={base.rdp} "
+            f"rdp1={base.rdp1} rdp2={base.rdp2}; "
+            f"extension rdp0={ext.rdp0} rdp={ext.rdp} "
+            f"rdp1={ext.rdp1} rdp2={ext.rdp2})"
         )
 
 

@@ -44,11 +44,19 @@ extensions.  ``_check_c4`` builds one of C4's two block maps, by a proof
 in its docstring that the other follows; the two halves of the C4 loop
 must agree on each of those inputs.  ``quotient_unitization`` is compared with the version that
 rebuilt a checked extension of the quotient, on every congruence of the
-budget-5 pairs it applies to.  The congruence walk, which cuts each
-prefix of a labelling at its first C2 conflict, is compared with
-building every partition and then filtering: on every algebra of size
-at most 7, on ``boolean(3)`` and ``chain(7)``, and on every unit
-extension of at most 8 elements.  The bitmask induced
+budget-5 pairs it applies to.  C3, C5′, CR and GCR are compared with
+the scans they replaced, kept verbatim: C3 over defined block pairs and
+members, C5′ over needed triples, CR over common bounds with
+``right_subtraction`` and GCR rebuilding the padded sums of each pair;
+on the same partitions as the block maps, GCR in both forms over every
+ideal, and C3, C5′ and CR also on every partition of every unit
+extension of at most 8 elements, where CR's lower bound decides a
+verdict on four partitions of the extension of ``chain(3)``.  The
+congruence walk, which cuts each prefix of a labelling at its first C2
+conflict and tests C3 on labels, is compared with building every
+partition and then filtering by the C2 loop and the C3 scan: on every
+algebra of size at most 7, on ``boolean(3)`` and ``chain(7)``, and on
+every unit extension of at most 8 elements.  The bitmask induced
 relation with the peel-set matrix on every ideal of the budget-5
 instances and their extensions: the same partition, or the same
 exception type and text.
@@ -59,7 +67,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -93,6 +101,7 @@ from gpea import (
     fig1,
     find_morphisms,
     gamma_unitize,
+    gcr_condition,
     ideal_closure,
     is_unitizing,
     normal_riesz_ideals,
@@ -112,6 +121,8 @@ from gpea.ideals import (
     _check_c3,
     _check_c4,
     _check_c4prime,
+    _check_c5prime,
+    _check_cr,
     _check_r1,
     _check_r2,
     _partition_walk,
@@ -926,12 +937,113 @@ def loop_block_twist(g: FiniteGpea, rel: Partition, gamma) -> tuple[int, ...]:
     return tuple(gamma_tilde)
 
 
+def scan_check_c3(g: FiniteGpea, rel: Partition) -> bool:
+    bl = rel.block_of
+    n = g.size
+    table = g.table
+    defined_pairs = {(bl[a], bl[b]) for a, b, _ in g.sums}
+    for ba, bb in defined_pairs:
+        for a1 in rel.blocks[ba]:
+            if not any(bl[b1] == bb and table[a1 * n + b1] != n for b1 in range(n)):
+                return False
+        for b2 in rel.blocks[bb]:
+            if not any(bl[a2] == ba and table[a2 * n + b2] != n for a2 in range(n)):
+                return False
+    return True
+
+
+def scan_check_c5prime(g: FiniteGpea, rel: Partition) -> bool:
+    bl = rel.block_of
+    decomps: list[set[tuple[int, int]]] = [set() for _ in range(g.size)]
+    for u, v, s in g.sums:
+        decomps[s].add((bl[u], bl[v]))
+    needed: set[tuple[int, int, int]] = set()
+    for b, c, s in g.sums:
+        for a in rel.blocks[bl[s]]:
+            needed.add((a, bl[b], bl[c]))
+    return all((ba, bc) in decomps[a] for (a, ba, bc) in needed)
+
+
+def scan_check_cr(g: FiniteGpea, rel: Partition) -> bool:
+    bl = rel.block_of
+    zero = bl[0]
+    up = g.order.up_masks
+    down = g.order.down_masks
+    n = g.size
+    for block in rel.blocks:
+        for a in block:
+            for b in block:
+                if a > b:
+                    continue
+                ok = False
+                lows = down[a] & down[b]
+                highs = up[a] & up[b]
+                for c in range(n):
+                    if not lows >> c & 1:
+                        continue
+                    if bl[g.right_subtraction(c, a)] != zero:
+                        continue
+                    if bl[g.right_subtraction(c, b)] != zero:
+                        continue
+                    for d in range(n):
+                        if not highs >> d & 1:
+                            continue
+                        if (
+                            bl[g.right_subtraction(a, d)] == zero
+                            and bl[g.right_subtraction(b, d)] == zero
+                        ):
+                            ok = True
+                            break
+                    if ok:
+                        break
+                if not ok:
+                    return False
+    return True
+
+
+def scan_gcr_condition(
+    g: FiniteGpea, rel: Partition, ideal_members: Iterable[int], form: int = 1
+) -> bool:
+    """Related elements admit member-padded equal sums.
+
+    Form 1: for all related ``a, b`` there are members ``i, j`` with
+    ``i + a == j + b``.  Form 2: members on the right, ``a + k == b + l``.
+    A partition of another size, or another form, is refused with
+    :class:`MalformedTableError`.
+    """
+    g.require_validated()
+    if rel.size != g.size:
+        raise MalformedTableError("partition size does not match the carrier")
+    if form not in (1, 2):
+        raise MalformedTableError(f"form must be 1 or 2, not {form!r}")
+    mask = _subset_mask(g, ideal_members)
+    n = g.size
+    table = g.table
+    inside = [x for x in range(n) if mask >> x & 1]
+
+    def padded(x: int) -> set[int]:
+        """The defined sums ``i + x`` (form 1) or ``x + i`` (form 2), i a member."""
+        if form == 1:
+            out = {table[i * n + x] for i in inside}
+        else:
+            out = {table[x * n + i] for i in inside}
+        out.discard(n)
+        return out
+
+    for block in rel.blocks:
+        for a in block:
+            for b in block:
+                if a < b and not padded(a) & padded(b):
+                    return False
+    return True
+
+
 def filter_partition_walk(g: FiniteGpea) -> tuple[Partition, ...]:
     """Every partition built first, then filtered by C2 and C3."""
     return tuple(
         rel
         for rel in all_partitions(g.size)
-        if loop_check_c2(g, rel) and _check_c3(g, rel)
+        if loop_check_c2(g, rel) and scan_check_c3(g, rel)
     )
 
 
@@ -994,9 +1106,17 @@ def outcome(f, *args):
 
 
 def assert_relation_maps_match(g: FiniteGpea, rel: Partition) -> None:
-    """C2, C4, C4′ and the quotient table (and, for a congruence with C4
-    and C5, the quotient) agree with the loops."""
+    """C2, C3, C4, C4′, C5′, CR, the quotient table (and, for a congruence
+    with C4 and C5, the quotient) and both forms of GCR over every ideal
+    agree with the loops and scans."""
     bl = rel.block_of
+    assert _check_c3(g, bl) == scan_check_c3(g, rel), bl
+    assert _check_c5prime(g, rel) == scan_check_c5prime(g, rel), bl
+    assert _check_cr(g, rel) == scan_check_cr(g, rel), bl
+    for members in enumerate_ideals(g):
+        for form in (1, 2):
+            expected = scan_gcr_condition(g, rel, members, form)
+            assert gcr_condition(g, rel, members, form) == expected, (bl, members, form)
     table = _block_sums(g, bl)
     assert (table is not None) == loop_check_c2(g, rel), bl
     assert outcome(loop_quotient_table, g, rel) == (
@@ -1091,9 +1211,9 @@ def test_walk_matches_the_filter_on_every_size_seven_algebra():
         assert _partition_walk(g) == filter_partition_walk(g), g.table_key()
 
 
-def test_walk_matches_the_filter_on_eight_element_algebras():
-    """``boolean(3)``, ``chain(7)`` and every unit extension of at most
-    eight elements, at the congruence search's size limit."""
+@functools.cache
+def unit_extensions_up_to_eight() -> list[FiniteGpea]:
+    """Every unit extension of at most eight elements."""
     extensions = [
         gamma_unitize(g, gamma).algebra
         for size in range(1, 5)
@@ -1101,8 +1221,26 @@ def test_walk_matches_the_filter_on_eight_element_algebras():
         for gamma in enumerate_unitizing(g)
     ]
     assert (len(extensions), max(u.size for u in extensions)) == (15, 8)
-    for g in [boolean(3), chain(7), *extensions]:
+    return extensions
+
+
+def test_walk_matches_the_filter_on_eight_element_algebras():
+    """``boolean(3)``, ``chain(7)`` and every unit extension of at most
+    eight elements, at the congruence search's size limit."""
+    for g in [boolean(3), chain(7), *unit_extensions_up_to_eight()]:
         assert _partition_walk(g) == filter_partition_walk(g), g.table_key()
+
+
+def test_c3_c5prime_and_cr_on_every_partition_of_the_unit_extensions_up_to_eight():
+    """On every partition of the algebras of size at most 6, CR's upper
+    bound alone gives the scan's answer; here, on four partitions of the
+    extension of ``chain(3)``, related elements share an upper bound and
+    no lower one with zero-class differences."""
+    for u in unit_extensions_up_to_eight():
+        for rel in all_partitions(u.size):
+            assert _check_c3(u, rel.block_of) == scan_check_c3(u, rel), rel
+            assert _check_c5prime(u, rel) == scan_check_c5prime(u, rel), rel
+            assert _check_cr(u, rel) == scan_check_cr(u, rel), rel
 
 
 BUDGET_FIVE_PAIRS = list(_unitized_pairs(standard_instances(5)))
@@ -1206,9 +1344,10 @@ def test_block_maps_on_random_labels_over_budget_five_extensions(drawn):
     assert_twist_maps_match(ua.base, base_rel, ua.gamma)
 
 
-def test_walk_builds_partitions_only_for_strings_passing_c2(monkeypatch):
+def test_walk_builds_partitions_only_for_congruences(monkeypatch):
     g = fig1()
     passing = sum(loop_check_c2(g, rel) for rel in all_partitions(g.size))
+    congruent = len(filter_partition_walk(g))
     built = []
     init = Partition.__init__
 
@@ -1218,7 +1357,7 @@ def test_walk_builds_partitions_only_for_strings_passing_c2(monkeypatch):
 
     monkeypatch.setattr(Partition, "__init__", counted)
     list(congruences(fig1()))
-    assert len(built) == passing < 203  # Bell(6)
+    assert len(built) == congruent < passing < 203  # Bell(6)
 
 
 def test_induced_relation_matches_the_peel_matrix():

@@ -431,7 +431,9 @@ def test_a_broken_build_is_refused_where_every_extension_is_needed(
 @pytest.mark.parametrize("scope", ["all", *SCOPES])
 def test_at_most_one_unit_extension_is_alive_at_a_time(monkeypatch, scope):
     """Each pair is dropped before the next is built: before every build,
-    at most the previous extension is still reachable."""
+    at most the previous extension is still reachable.  The heap the
+    suite built before the run is frozen, so each collection scans only
+    what the run allocates."""
     build = gpea.verify.gamma_unitize
     built: list[weakref.ref] = []
     alive: list[int] = []
@@ -444,7 +446,12 @@ def test_at_most_one_unit_extension_is_alive_at_a_time(monkeypatch, scope):
         return ua
 
     monkeypatch.setattr(gpea.verify, "gamma_unitize", recording)
-    run_verify(scope, 4)
+    gc.collect()
+    gc.freeze()
+    try:
+        run_verify(scope, 4)
+    finally:
+        gc.unfreeze()
     assert len(built) == (0 if scope == "kite" else 18)
     assert max(alive, default=0) <= 1
 
